@@ -284,19 +284,21 @@ def _cmd_stream_pack(args) -> int:
     return 0
 
 
+def _token_line(token) -> str:
+    if token.kind == "value":
+        return f"{token.value}\n"
+    lo, hi = token.bit_span
+    return f"# garbage bits [{lo}:{hi})\n"
+
+
 def _cmd_stream_unpack(args) -> int:
     with open(args.file, "rb") as fh:
         blob = fh.read()
     if args.resync:
-        for token in resync_decode(blob):
-            if token.kind == "value":
-                print(token.value)
-            else:
-                lo, hi = token.bit_span
-                print(f"# garbage bits [{lo}:{hi})")
+        lines = map(_token_line, resync_decode(blob))
     else:
-        for v in stream_decode(blob):
-            print(v)
+        lines = (f"{v}\n" for v in stream_decode(blob))
+    sys.stdout.writelines(lines)
     return 0
 
 

@@ -17,11 +17,18 @@ first pair a reader meets always closes the current word. The strict
 decoder insists the payload parse into exactly the declared count; the
 token scanner instead realigns at the next pair after damage and
 reports what it could not validate as garbage spans.
+
+Small values dominate typical streams, so each call memoises codewords
+in a dict that lives only for that call: the encoder builds each
+distinct value's codeword once, and the decoders evaluate each distinct
+word once. Only codewords of at most _MEMO_MAX_BITS (24) bits are kept;
+longer ones are rebuilt or re-evaluated every time. Each entry stands
+for a distinct codeword, so a memo holds at most 75,024 entries, the
+number of codewords of 2 to 24 bits.
 """
 
 import struct
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from ghcodes.bits import value
 from ghcodes.fibcodec import fib_encode
@@ -45,6 +52,8 @@ VERSION = 1
 CODEC_FIB = 0x00
 CODEC_GH = 0x01
 _HEADER = struct.Struct("<4sBBhQQ")
+_A_MIN = -(2**15)  # the header stores a as a signed 16-bit field
+_MEMO_MAX_BITS = 24
 
 
 class HeaderError(ValueError):
@@ -68,8 +77,7 @@ class UnencodableValueError(ValueError):
         self.a = a
 
 
-@dataclass(frozen=True)
-class ResyncToken:
+class ResyncToken(NamedTuple):
     """One span of payload bits: a recovered value or unvalidated garbage."""
 
     kind: str  # "value" or "garbage"
@@ -96,18 +104,28 @@ def stream_encode(codec: str, a: int, values: Iterable[int]) -> bytes:
         if a != 0:
             raise ValueError(f"a must be 0 for the fib codec, got {a}")
         codec_byte = CODEC_FIB
-        words = [fib_encode(v) for v in values]
     elif codec == "gh":
+        if a < _A_MIN:
+            raise ValueError(f"parameter a must be >= {_A_MIN} to fit the header, got {a}")
         gh_sequence(a)  # validates a <= -2
         codec_byte = CODEC_GH
-        words = []
-        for v in values:
-            outcome = encode_fast(a, v)
-            if outcome is None:
-                raise UnencodableValueError(v, a)
-            words.append(outcome.code)
     else:
         raise ValueError(f"codec must be 'fib' or 'gh', got {codec!r}")
+    memo: dict[int, str] = {}
+    words = []
+    for v in values:
+        code = memo.get(v)
+        if code is None:
+            if codec_byte == CODEC_FIB:
+                code = fib_encode(v)
+            else:
+                outcome = encode_fast(a, v)
+                if outcome is None:
+                    raise UnencodableValueError(v, a)
+                code = outcome.code
+            if len(code) <= _MEMO_MAX_BITS:
+                memo[v] = code
+        words.append(code)
     bits = "".join(words)
     header = _HEADER.pack(MAGIC, VERSION, codec_byte, a, len(words), len(bits))
     return header + _pack_bits(bits)
@@ -130,6 +148,26 @@ def _parse_header(data: bytes) -> tuple[int, int, int, int, bytes]:
     return codec, a, count, bit_length, data[_HEADER.size :]
 
 
+class _WordValues(dict):
+    """word -> value for one decode call, under the codec a header names.
+
+    A word is a codeword without its closing 1. A missing word is
+    evaluated on lookup and kept when its codeword is at most
+    _MEMO_MAX_BITS long. Callers check the value on every lookup, so a
+    non-positive word is rejected on a memo hit too.
+    """
+
+    def __init__(self, codec: int, a: int):
+        super().__init__()
+        self.seq = fib_sequence() if codec == CODEC_FIB else gh_sequence(a)
+
+    def __missing__(self, word: str) -> int:
+        v = value(self.seq, word)
+        if len(word) < _MEMO_MAX_BITS:  # the closing 1 makes the codeword one bit longer
+            self[word] = v
+        return v
+
+
 def stream_decode(data: bytes) -> list[int]:
     """Parse exactly the declared count of codewords, or raise.
 
@@ -145,14 +183,14 @@ def stream_decode(data: bytes) -> list[int]:
         raise PayloadError("trailing bytes after the payload", bit_length)
     bits = _unpack_bits(payload)
     body, padding = bits[:bit_length], bits[bit_length:]
-    seq = fib_sequence() if codec == CODEC_FIB else gh_sequence(a)
+    word_values = _WordValues(codec, a)
     values: list[int] = []
     cursor = 0
     for _ in range(count):
         end = body.find("11", cursor)
         if end == -1:
             raise PayloadError("codeword truncated before its closing pair", cursor)
-        v = value(seq, body[cursor : end + 1])
+        v = word_values[body[cursor : end + 1]]
         if v < 1:
             raise PayloadError(f"codeword decodes to non-positive value {v}", cursor)
         values.append(v)
@@ -174,7 +212,7 @@ def resync_decode(data: bytes) -> list[ResyncToken]:
     codec, a, _count, bit_length, payload = _parse_header(data)
     avail = min(bit_length, len(payload) * 8)
     body = _unpack_bits(payload)[:avail]
-    seq = fib_sequence() if codec == CODEC_FIB else gh_sequence(a)
+    word_values = _WordValues(codec, a)
     tokens: list[ResyncToken] = []
     cursor = 0
     while cursor < len(body):
@@ -182,7 +220,7 @@ def resync_decode(data: bytes) -> list[ResyncToken]:
         if end == -1:
             tokens.append(ResyncToken("garbage", None, (cursor, len(body))))
             break
-        v = value(seq, body[cursor : end + 1])
+        v = word_values[body[cursor : end + 1]]
         if v >= 1:
             tokens.append(ResyncToken("value", v, (cursor, end + 2)))
         else:

@@ -204,6 +204,24 @@ def test_stream_unpack_resync_never_aborts(tmp_path, capsys):
     assert out.strip()
 
 
+def test_stream_pack_a_outside_header_field(tmp_path, capsys):
+    path = tmp_path / "doc.ghc"
+    code, _, err = run(capsys, "stream-pack", "--a", "-40000", "--out", str(path), "1")
+    assert code == 2 and err.startswith("error:") and "-40000" in err
+    assert not path.exists()
+
+
+def test_stream_unpack_resync_output_lines(tmp_path, capsys):
+    path = tmp_path / "doc.ghc"
+    run(capsys, "stream-pack", "--a", "-2", "--out", str(path), "7", "10", "1", "7")
+    blob = bytearray(path.read_bytes())
+    blob[24] ^= 0x80
+    path.write_bytes(bytes(blob))
+    code, out, _ = run(capsys, "stream-unpack", "--resync", str(path))
+    assert code == 0
+    assert out == "# garbage bits [0:2)\n3\n10\n1\n7\n"
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["encode"])
