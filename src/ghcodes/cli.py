@@ -62,6 +62,13 @@ def _parse_span(spec: str, what: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _parse_a_span(spec: str) -> tuple[int, int]:
+    lo, hi = _parse_span(spec, "--a")
+    if hi > -2:
+        raise ValueError(f"parameter a must be <= -2, got {hi}")
+    return lo, hi
+
+
 def _require_a(args) -> int:
     if args.a is None:
         raise ValueError("--a is required for the gh code")
@@ -114,10 +121,8 @@ def _cmd_exists(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    a_lo, a_hi = _parse_span(args.a, "--a")
+    a_lo, a_hi = _parse_a_span(args.a)
     n_lo, n_hi = _parse_span(args.n, "--n")
-    if a_hi > -2:
-        raise ValueError(f"parameter a must be <= -2, got {a_hi}")
     if n_lo < 1:
         raise ValueError(f"n must be >= 1, got {n_lo}")
     if args.format == "csv":
@@ -136,13 +141,19 @@ def _cmd_table(args) -> int:
 def _cmd_gaps(args) -> int:
     if args.max_n < 1:
         raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
-    bound = gh_sequence(args.a).gap_parameter or 0
-    report = gap_scan(args.a, args.max_n, mode=args.mode)
-    if args.format == "csv":
-        print(report.to_csv())
-    else:
-        print(report.summary())
-    return 3 if report.max_run > bound else 0
+    a_lo, a_hi = _parse_a_span(args.a)
+    if args.format == "csv" and a_lo != a_hi:
+        raise ValueError(f"--format csv takes a single --a, got {args.a!r}")
+    status = 0
+    for a in range(a_lo, a_hi + 1):
+        report = gap_scan(a, args.max_n, mode=args.mode)
+        if args.format == "csv":
+            print(report.to_csv())
+        else:
+            print(report.summary())
+        if report.max_run > (gh_sequence(a).gap_parameter or 0):
+            status = 3
+    return status
 
 
 @dataclass(frozen=True)
@@ -161,27 +172,33 @@ class BenchResult:
 
 def _gen_values(dist: str, count: int, seed: int) -> list[int]:
     kind, _, rest = dist.partition(":")
+    try:
+        nums = [float(f) if kind == "geometric" else int(f) for f in rest.split(":")]
+    except ValueError:
+        nums = []
+    if len(nums) != {"constant": 1, "uniform": 2, "geometric": 1}.get(kind):
+        raise ValueError(
+            f"distribution must be constant:V, uniform:LO:HI or geometric:P, got {dist!r}"
+        )
     rng = random.Random(seed)
     if kind == "constant":
-        v = int(rest)
+        (v,) = nums
         if v < 1:
             raise ValueError(f"constant value must be >= 1, got {v}")
         return [v] * count
     if kind == "uniform":
-        lo_s, _, hi_s = rest.partition(":")
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = nums
         if lo < 1 or lo > hi:
             raise ValueError(f"uniform bounds must satisfy 1 <= lo <= hi, got {rest!r}")
         return [rng.randint(lo, hi) for _ in range(count)]
-    if kind == "geometric":
-        p = float(rest)
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"geometric p must be in (0, 1), got {p}")
-        scale = math.log1p(-p)
-        return [int(math.log(1.0 - rng.random()) / scale) + 1 for _ in range(count)]
-    raise ValueError(
-        f"unknown distribution {dist!r}; use constant:V, uniform:LO:HI or geometric:P"
-    )
+    (p,) = nums
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"geometric p must be in (0, 1), got {p}")
+    scale = math.log1p(-p)
+    # 1 - random() >= 2**-53, so no draw exceeds this one; it must be a finite float
+    if math.isinf(math.log(2.0**-53) / scale):
+        raise ValueError(f"geometric p is too small to draw from, got {dist!r}")
+    return [int(math.log(1.0 - rng.random()) / scale) + 1 for _ in range(count)]
 
 
 def _bench_one(spec: str, values: list[int]) -> BenchResult:
@@ -333,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tab.set_defaults(func=_cmd_table)
 
     gap = sub.add_parser("gaps", help="scan for non-encodable integers and their runs")
-    gap.add_argument("--a", type=int, required=True)
+    gap.add_argument("--a", required=True, help="integer or inclusive lo:hi range")
     gap.add_argument("--max-n", type=int, required=True)
     gap.add_argument("--mode", choices=("fast", "oracle"), default="fast")
     gap.add_argument("--format", choices=("text", "csv"), default="text")

@@ -13,7 +13,6 @@ with, settles existence either way.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 from ghcodes.bits import (
     from_codeword,

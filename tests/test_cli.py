@@ -121,6 +121,33 @@ def test_gaps_csv(capsys):
     assert lines[0] == "n,exists" and lines[5] == "5,false"
 
 
+def test_gaps_range_equals_single_runs_in_order(capsys):
+    code, out, _ = run(capsys, "gaps", "--a", "-7:-5", "--max-n", "200")
+    assert code == 0
+    singles = []
+    for a in ("-7", "-6", "-5"):
+        single_code, single_out, _ = run(capsys, "gaps", "--a", a, "--max-n", "200")
+        assert single_code == 0
+        singles.append(single_out)
+    assert out == "".join(singles)
+
+
+def test_gaps_one_element_range_equals_single(capsys):
+    for fmt in ("text", "csv"):
+        _, ranged, _ = run(capsys, "gaps", "--a", "-5:-5", "--max-n", "50", "--format", fmt)
+        _, single, _ = run(capsys, "gaps", "--a", "-5", "--max-n", "50", "--format", fmt)
+        assert ranged == single
+
+
+@pytest.mark.parametrize("argv", [
+    ("--a", "-3:-1"),
+    ("--a", "-7:-5", "--format", "csv"),
+])
+def test_gaps_range_usage_errors(capsys, argv):
+    code, out, err = run(capsys, "gaps", "--max-n", "20", *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_bench_constant_fib(capsys):
     code, out, _ = run(capsys, "bench", "--dist", "constant:1", "--count", "100",
                        "--codes", "fib", "--format", "csv")
@@ -150,6 +177,13 @@ def test_bench_csv_is_seed_stable_and_universal_skips_nothing(capsys):
 def test_bench_bad_dist(capsys):
     code, _, err = run(capsys, "bench", "--dist", "zipf:1", "--codes", "fib")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("dist", ["geometric:5e-324", "geometric:1e-320", "uniform:5"])
+def test_bench_bad_dist_names_spec(capsys, dist):
+    code, out, err = run(capsys, "bench", "--dist", dist, "--count", "1", "--codes", "fib")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and dist in err
 
 
 def test_verify_passes(capsys):
