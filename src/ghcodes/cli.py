@@ -148,7 +148,7 @@ def _cmd_gaps(args) -> int:
     for a in range(a_lo, a_hi + 1):
         report = gap_scan(a, args.max_n, mode=args.mode)
         if args.format == "csv":
-            print(report.to_csv())
+            sys.stdout.writelines(f"{row}\n" for row in report.csv_rows())
         else:
             print(report.summary())
         if report.max_run > (gh_sequence(a).gap_parameter or 0):

@@ -32,6 +32,7 @@ __all__ = [
     "encode_simple",
     "exists",
     "greedy_remaining",
+    "missing_upto",
     "remainder_lookup",
     "remainder_table",
 ]
@@ -179,6 +180,27 @@ def encode_simple(a: int, n: int) -> EncodeOutcome | None:
     return None
 
 
+def _split(
+    seq: GHSequence, entries: dict[int, str], n: int
+) -> tuple[str, tuple[int, ...], int, bool] | None:
+    """(cover, tail picks, n0, used_fallback) for n, or None when no code exists.
+
+    used_fallback is carried separately because a first-attempt leftover
+    of term(2) + term(4) also takes the cover 01010.
+    """
+    picked, residual = _tail_greedy(seq, n)
+    prefix = entries.get(residual)
+    if prefix is not None:
+        return prefix, picked, residual, False
+    fallback_n0 = seq.term(2) + seq.term(4)
+    if n < fallback_n0:
+        return None
+    picked, residual = _tail_greedy(seq, n - fallback_n0)
+    if residual != 0:
+        return None
+    return "01010", picked, fallback_n0, True
+
+
 def encode_fast(a: int, n: int) -> EncodeOutcome | None:
     """Encode with at most two attempts.
 
@@ -191,25 +213,53 @@ def encode_fast(a: int, n: int) -> EncodeOutcome | None:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    seq = gh_sequence(a)
-    entries = remainder_table(a).entries
-    picked, residual = _tail_greedy(seq, n)
-    prefix = entries.get(residual)
-    if prefix is not None:
-        return EncodeOutcome(_assemble(prefix, picked), residual, n - residual, picked, False)
-    fallback_n0 = seq.term(2) + seq.term(4)
-    n1 = n - fallback_n0
-    if n1 < 0:
+    split = _split(gh_sequence(a), remainder_table(a).entries, n)
+    if split is None:
         return None
-    picked, residual = _tail_greedy(seq, n1)
-    if residual != 0:
-        return None
-    return EncodeOutcome(_assemble("01010", picked), fallback_n0, n1, picked, True)
+    prefix, picked, n0, used_fallback = split
+    return EncodeOutcome(_assemble(prefix, picked), n0, n - n0, picked, used_fallback)
 
 
 def exists(a: int, n: int) -> bool:
     """True iff a code for n exists under parameter a."""
-    return encode_fast(a, n) is not None
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return _split(gh_sequence(a), remainder_table(a).entries, n) is not None
+
+
+def missing_upto(a: int, n_max: int) -> tuple[int, ...]:
+    """Every n in 1..n_max with no code under parameter a, ascending.
+
+    Equals the n with exists(a, n) false, decided in one pass from the
+    greedy residual r(n), the leftover the tail greedy leaves for n:
+
+        r(n) = n               for n < term(6)
+        r(n) = r(n - term(l))  for term(l) <= n < term(l + 1), l >= 6
+
+    Proof: the greedy takes term(l) first and leaves n - term(l) <
+    term(l - 1), which it then reduces exactly as it would on its own.
+    So each block [term(l), term(l + 1)) of residuals is a copy of
+    r(0), ..., r(term(l - 1) - 1). Then, as in encode_fast's two
+    attempts, n has a code iff r(n) has a five-bit cover, or n >= f and
+    r(n - f) == 0, where f = term(2) + term(4) is the 01010 cover.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    seq = gh_sequence(a)
+    entries = remainder_table(a).entries
+    # a list, not an array: block copies share the int objects, so it also
+    # costs 8 bytes per n, and it indexes faster and needs no extra import
+    residual = list(range(min(seq.term(6), n_max + 1)))
+    i = 6
+    while len(residual) <= n_max:  # here len(residual) == term(i)
+        residual += residual[: min(seq.term(i + 1), n_max + 1) - seq.term(i)]
+        i += 1
+    fallback_n0 = seq.term(2) + seq.term(4)
+    return tuple(
+        n
+        for n in range(1, n_max + 1)
+        if residual[n] not in entries and (n < fallback_n0 or residual[n - fallback_n0])
+    )
 
 
 def decode(a: int, code: str) -> int:

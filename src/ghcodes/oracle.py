@@ -8,12 +8,15 @@ pure and independent per n; the memo they share is a cache of
 subproblem verdicts, safe to reuse across calls.
 """
 
-import itertools
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ghcodes.ghcodec import exists as _codec_exists
+# unused here, but the benchmark tracer (perfbench/tracer.py) patches this
+# name when it installs, and fails on every workload if it is missing
+from ghcodes.ghcodec import exists as _codec_exists  # noqa: F401
+from ghcodes.ghcodec import missing_upto
 from ghcodes.sequences import gh_sequence
 
 __all__ = [
@@ -42,13 +45,19 @@ class GapReport:
     runs: tuple[tuple[int, int], ...]
     max_run: int
 
+    def csv_rows(self) -> Iterator[str]:
+        """The lines of to_csv(), header first, one at a time."""
+        lo, hi = self.n_range
+        absent = bytearray(hi - lo + 1)  # one byte per n, not a set of ints
+        for n in self.missing:
+            absent[n - lo] = 1
+        yield "n,exists"
+        for n, gone in zip(range(lo, hi + 1), absent):
+            yield f"{n},{'false' if gone else 'true'}"
+
     def to_csv(self) -> str:
         """Rows n,exists over the scanned range."""
-        lo, hi = self.n_range
-        gone = set(self.missing)
-        lines = ["n,exists"]
-        lines += [f"{n},{'false' if n in gone else 'true'}" for n in range(lo, hi + 1)]
-        return "\n".join(lines)
+        return "\n".join(self.csv_rows())
 
     def summary(self) -> str:
         """One JSON object with the headline numbers."""
@@ -171,24 +180,19 @@ def gap_scan(a: int, n_max: int, mode: str = "fast") -> GapReport:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     gh_sequence(a)  # validate the parameter before scanning
     if mode == "fast":
-        def check(n: int) -> bool:
-            return _codec_exists(a, n)
+        missing = missing_upto(a, n_max)
     elif mode == "oracle":
         searcher = _searcher(a)
-
-        def check(n: int) -> bool:
-            return searcher.exists(n)
+        missing = tuple(n for n in range(1, n_max + 1) if not searcher.exists(n))
     else:
         raise ValueError(f"mode must be 'fast' or 'oracle', got {mode!r}")
-    missing = tuple(n for n in range(1, n_max + 1) if not check(n))
-    runs = []
-    for _, group in itertools.groupby(enumerate(missing), key=lambda p: p[1] - p[0]):
-        block = [n for _, n in group]
-        runs.append((block[0], len(block)))
+    # a run starts at each missing n whose predecessor n - 1 is not missing
+    starts = [i for i, (prev, n) in enumerate(zip((-1, *missing), missing)) if n != prev + 1]
+    runs = tuple((missing[i], j - i) for i, j in zip(starts, starts[1:] + [len(missing)]))
     return GapReport(
         a=a,
         n_range=(1, n_max),
         missing=missing,
-        runs=tuple(runs),
+        runs=runs,
         max_run=max((length for _, length in runs), default=0),
     )

@@ -2,6 +2,7 @@ import pytest
 
 from ghcodes.cli import main
 from ghcodes.ghcodec import decode
+from ghcodes.oracle import gap_scan
 
 
 def run(capsys, *argv):
@@ -119,6 +120,12 @@ def test_gaps_csv(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "n,exists" and lines[5] == "5,false"
+
+
+def test_gaps_csv_streams_the_report_rows(capsys):
+    code, out, _ = run(capsys, "gaps", "--a", "-7", "--max-n", "3000", "--format", "csv")
+    assert code == 0
+    assert out == gap_scan(-7, 3000).to_csv() + "\n"
 
 
 def test_gaps_range_equals_single_runs_in_order(capsys):

@@ -9,6 +9,7 @@ from ghcodes.ghcodec import (
     encode_simple,
     exists,
     greedy_remaining,
+    missing_upto,
     remainder_lookup,
     remainder_table,
 )
@@ -190,3 +191,27 @@ def test_emitted_codes_are_prefix_free():
     )
     for prev, cur in zip(codes, codes[1:]):
         assert not cur.startswith(prev)
+
+
+def _missing_by_exists(a, n_max):
+    return tuple(n for n in range(1, n_max + 1) if not exists(a, n))
+
+
+def test_missing_upto_equals_per_n_exists():
+    for a in [*range(-40, -1), -100, -1000]:
+        below_tail = gh_sequence(a).term(6) - 1
+        for n_max in (1, 2, below_tail, below_tail + 1, 3000):
+            assert missing_upto(a, n_max) == _missing_by_exists(a, n_max), (a, n_max)
+
+
+@given(a=st.integers(min_value=-300, max_value=-2), n_max=st.integers(min_value=1, max_value=4000))
+@settings(max_examples=60, deadline=None)
+def test_missing_upto_property(a, n_max):
+    assert missing_upto(a, n_max) == _missing_by_exists(a, n_max)
+
+
+def test_missing_upto_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        missing_upto(-5, 0)
+    with pytest.raises(ValueError):
+        missing_upto(-1, 10)

@@ -1,6 +1,6 @@
 import pytest
 
-from ghcodes.ghcodec import encode_fast, exists
+from ghcodes.ghcodec import encode_fast, exists, missing_upto
 from ghcodes.oracle import SearchLimitError, all_codes, gap_scan, oracle_exists
 
 
@@ -54,6 +54,20 @@ def test_gap_scan_modes_agree():
     assert gap_scan(-6, 400, mode="fast") == gap_scan(-6, 400, mode="oracle")
 
 
+def test_missing_upto_equals_oracle_scan():
+    for a in (-5, -7, -12):
+        for n_max in (1, 17, 400):
+            report = gap_scan(a, n_max, mode="oracle")
+            assert missing_upto(a, n_max) == report.missing
+            assert gap_scan(a, n_max, mode="fast") == report
+
+
+def test_gap_bound_holds_to_two_hundred_thousand():
+    for k in range(1, 17):
+        report = gap_scan(-(4 + k), 200_000)
+        assert 0 < report.max_run <= k, (k, report.max_run)
+
+
 def test_gap_report_runs_structure():
     report = gap_scan(-5, 60)
     rebuilt = [n for start, length in report.runs for n in range(start, start + length)]
@@ -81,6 +95,7 @@ def test_csv_and_summary_rendering():
     assert lines[1] == "1,true"
     assert lines[5] == "5,false"
     assert len(lines) == 16
+    assert list(report.csv_rows()) == lines
     summary = report.summary()
     assert '"a": -5' in summary
     assert '"k": 1' in summary
