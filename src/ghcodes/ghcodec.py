@@ -85,11 +85,6 @@ _TABLE_A3 = {
     5: "00010", 6: "00001", 7: "00101", 8: "10011", 9: "01010",
     10: "01001",
 }
-_TABLE_A4 = {
-    0: "00000", 1: "00100", 2: "10010", 3: "10001", 4: "10101",
-    5: "01000", 6: "00010", 7: "00001", 8: "00101", 9: "10011",
-    10: "10111", 11: "01010", 12: "01001",
-}
 
 
 def _parametric_rows(k: int) -> dict[int, str]:
@@ -108,12 +103,10 @@ def remainder_table(a: int) -> RemainderTable:
         rows, gaps = _TABLE_A2, ()
     elif a == -3:
         rows, gaps = _TABLE_A3, ()
-    elif a == -4:
-        rows, gaps = _TABLE_A4, ()
     else:
         k = -(a + 4)
         rows = _parametric_rows(k)
-        gaps = ((5, k + 4), (k + 11, 2 * k + 10))
+        gaps = ((5, k + 4), (k + 11, 2 * k + 10)) if k else ()
     return RemainderTable(a=a, entries=dict(rows), gap_intervals=gaps)
 
 

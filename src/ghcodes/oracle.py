@@ -65,10 +65,10 @@ class GapReport:
             {
                 "a": self.a,
                 "k": gh_sequence(self.a).gap_parameter,
-                "n_range": list(self.n_range),
+                "n_range": self.n_range,
                 "missing_count": len(self.missing),
                 "max_run": self.max_run,
-                "runs": [list(run) for run in self.runs],
+                "runs": self.runs,
             }
         )
 

@@ -1,5 +1,6 @@
 import pytest
 
+from ghcodes import cli
 from ghcodes.cli import main
 from ghcodes.ghcodec import decode
 from ghcodes.oracle import gap_scan
@@ -153,6 +154,25 @@ def test_gaps_one_element_range_equals_single(capsys):
 def test_gaps_range_usage_errors(capsys, argv):
     code, out, err = run(capsys, "gaps", "--max-n", "20", *argv)
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("gaps", "--a", "-3:-1", "--max-n", "20"),
+    ("table", "--a", "-3:-1", "--n", "1:5"),
+    ("verify", "--a", "-1", "--max-n", "10"),
+    ("exists", "--a", "-1", "5"),
+])
+def test_a_bound_error_text_is_shared(capsys, argv):
+    # every subcommand reports a > -2 through the one check in GHSequence
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: parameter a must be <= -2, got -1\n")
+
+
+def test_gaps_max_n_cap_exits_before_scanning(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "gap_scan", lambda *args, **kw: pytest.fail("scanned"))
+    code, out, err = run(capsys, "gaps", "--a", "-7", "--max-n", str(10**7 + 1))
+    assert (code, out) == (2, "")
+    assert err == "error: --max-n must be <= 10000000, got 10000001\n"
 
 
 def test_bench_constant_fib(capsys):

@@ -101,3 +101,15 @@ def test_csv_and_summary_rendering():
     assert '"k": 1' in summary
     assert '"max_run": 1' in summary
     assert "[5, 1]" in summary and "[12, 1]" in summary
+
+
+def test_summary_line_is_pinned():
+    # the exact bytes `gaps` prints, for a scan with runs and one without
+    assert gap_scan(-7, 40).summary() == (
+        '{"a": -7, "k": 3, "n_range": [1, 40], "missing_count": 11, '
+        '"max_run": 3, "runs": [[5, 3], [14, 3], [24, 3], [34, 2]]}'
+    )
+    assert gap_scan(-2, 40).summary() == (
+        '{"a": -2, "k": null, "n_range": [1, 40], "missing_count": 0, '
+        '"max_run": 0, "runs": []}'
+    )
