@@ -7,6 +7,8 @@ only adjacent pair of ones is its final two bits; that closing pair is
 what delimits codewords in a stream.
 """
 
+from itertools import compress
+
 from ghcodes.sequences import FibSequence, GHSequence
 
 __all__ = [
@@ -30,13 +32,14 @@ class MalformedCodeError(ValueError):
         self.offset = offset
 
 
+# byte -> 1 for b"1", 0 for every other byte; non-ASCII characters are
+# encoded as b"?" first, so each character stays one byte
+_ONES = bytes(int(byte == ord("1")) for byte in range(256))
+
+
 def value(seq: GHSequence | FibSequence, bits: str) -> int:
-    """Sum of seq terms at the set positions; the empty string is 0."""
-    total = 0
-    for t, b in zip(seq.prefix(len(bits)), bits):
-        if b == "1":
-            total += t
-    return total
+    """Sum of seq terms at the positions holding "1"; the empty string is 0."""
+    return sum(compress(seq.prefix(len(bits)), bits.encode("ascii", "replace").translate(_ONES)))
 
 
 def normalize(bits: str) -> str:
@@ -78,9 +81,10 @@ def to_codeword(bits: str) -> str:
 
 def validate_codeword(code: str) -> None:
     """Raise MalformedCodeError unless code is structurally valid."""
-    for i, ch in enumerate(code):
-        if ch not in "01":
-            raise MalformedCodeError(f"invalid character {ch!r}", i)
+    if code.strip("01"):  # only a bad character survives the strip
+        for i, ch in enumerate(code):
+            if ch not in "01":
+                raise MalformedCodeError(f"invalid character {ch!r}", i)
     if len(code) < 2:
         raise MalformedCodeError("codeword shorter than the closing pair", 0)
     if not code.endswith("11"):

@@ -27,6 +27,8 @@ DEFAULT_SEED = 12345
 # gap_scan keeps every missing n and, while it scans, one residual per n,
 # so memory grows with --max-n: up to about 580 MiB peak RSS at this cap
 _MAX_SCAN_N = 10**7
+# bench draws every value into one list before it encodes any
+_MAX_BENCH_COUNT = 10**7
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
@@ -234,6 +236,8 @@ def _bench_one(spec: str, values: list[int]) -> BenchResult:
 def _cmd_bench(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
+    if args.count > _MAX_BENCH_COUNT:
+        raise ValueError(f"--count must be <= {_MAX_BENCH_COUNT}, got {args.count}")
     values = _gen_values(args.dist, args.count, args.seed)
     results = [_bench_one(spec.strip(), values) for spec in args.codes.split(",") if spec.strip()]
     if not results:

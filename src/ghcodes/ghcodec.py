@@ -11,6 +11,7 @@ the cover 01010, the only five-bit prefix a non-greedy code can start
 with, settles existence either way.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -118,16 +119,31 @@ def remainder_lookup(a: int, r: int) -> str | None:
     return remainder_table(a).entries.get(r)
 
 
-def _tail_greedy(seq: GHSequence, target: int) -> tuple[tuple[int, ...], int]:
-    """Greedy picks over indices >= 6 for target >= 0; returns (picks, residual)."""
+def _tail_terms(seq: GHSequence, n: int) -> list[int]:
+    """Terms 1..l, l the largest tail index with term(l) <= n (at least 6).
+
+    The list holds every term the tail greedy can pick for a target of
+    at most n, so one lookup serves every greedy run of one encode.
+    """
+    return seq.prefix(seq.largest_remaining_leq(n) or 6)
+
+
+def _tail_greedy(terms: list[int], target: int) -> tuple[tuple[int, ...], int]:
+    """Greedy picks over indices >= 6 for 0 <= target < the term after terms[-1].
+
+    Returns (picks, residual). terms[i - 1] is term(i). After taking
+    term(i) the remainder is below term(i - 1), so the next search stops
+    short of index i - 1.
+    """
     picked: list[int] = []
-    remainder = target
-    first_tail = seq.term(6)
-    while remainder >= first_tail:
-        i = seq.largest_remaining_leq(remainder)
+    first_tail = terms[5]
+    hi = len(terms)
+    while target >= first_tail:
+        i = bisect_right(terms, target, 5, hi)  # largest index with term(i) <= target
         picked.append(i)
-        remainder -= seq.term(i)
-    return tuple(picked), remainder
+        target -= terms[i - 1]
+        hi = i - 2
+    return tuple(picked), target
 
 
 def greedy_remaining(a: int, n: int) -> tuple[tuple[int, ...], int, int]:
@@ -138,7 +154,7 @@ def greedy_remaining(a: int, n: int) -> tuple[tuple[int, ...], int, int]:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    picked, residual = _tail_greedy(gh_sequence(a), n)
+    picked, residual = _tail_greedy(_tail_terms(gh_sequence(a), n), n)
     return picked, n - residual, residual
 
 
@@ -161,13 +177,11 @@ def encode_simple(a: int, n: int) -> EncodeOutcome | None:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    seq = gh_sequence(a)
-    entries = remainder_table(a).entries
-    for n0 in range(seq.term(6)):
-        prefix = entries.get(n0)
-        if prefix is None or n0 > n:
-            continue
-        picked, residual = _tail_greedy(seq, n - n0)
+    terms = _tail_terms(gh_sequence(a), n)
+    for n0, prefix in remainder_table(a).entries.items():  # ascending n0
+        if n0 > n:
+            break
+        picked, residual = _tail_greedy(terms, n - n0)
         if residual == 0:
             return EncodeOutcome(_assemble(prefix, picked), n0, n - n0, picked, False)
     return None
@@ -181,14 +195,15 @@ def _split(
     used_fallback is carried separately because a first-attempt leftover
     of term(2) + term(4) also takes the cover 01010.
     """
-    picked, residual = _tail_greedy(seq, n)
+    terms = _tail_terms(seq, n)
+    picked, residual = _tail_greedy(terms, n)
     prefix = entries.get(residual)
     if prefix is not None:
         return prefix, picked, residual, False
-    fallback_n0 = seq.term(2) + seq.term(4)
+    fallback_n0 = terms[1] + terms[3]
     if n < fallback_n0:
         return None
-    picked, residual = _tail_greedy(seq, n - fallback_n0)
+    picked, residual = _tail_greedy(terms, n - fallback_n0)
     if residual != 0:
         return None
     return "01010", picked, fallback_n0, True

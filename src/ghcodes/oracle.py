@@ -9,6 +9,7 @@ subproblem verdicts, safe to reuse across calls.
 """
 
 import json
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -92,16 +93,18 @@ class _SubsetSearcher:
         """Smallest index >= 7 whose term overshoots n even with term(1) taken.
 
         Any subset touching that index or beyond sums past n, because
-        term(1) is the only negative term a subset can contain.
+        term(1) is the only negative term a subset can contain. Raises
+        SearchLimitError when that index would pass max_index, without
+        growing the sequence past max(max_index, 7) terms, however big n is.
         """
-        a = self.seq.term(1)
-        i = 7
-        while self.seq.term(i) + a <= n:
-            i += 1
-            if i > max_index:
-                raise SearchLimitError(
-                    f"search bound exceeds cap {max_index} for a={self.seq.a}, n={n}"
-                )
+        top = max(max_index, 7)
+        terms = self.seq.prefix(top)
+        # terms[i - 1] is term(i); the tail from index 6 on increases
+        i = bisect_right(terms, n - terms[0], 6, top) + 1
+        if i > top:
+            raise SearchLimitError(
+                f"search bound exceeds cap {max_index} for a={self.seq.a}, n={n}"
+            )
         return i + slack
 
     def _reachable(self, i: int, t: int) -> bool:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ghcodes.bits import (
     MalformedCodeError,
@@ -22,6 +22,25 @@ def test_value_examples():
     assert value(gh_sequence(-13), "") == 0
     assert value(gh_sequence(-4), "10001") == 3
     assert value(fib_sequence(), "01001") == 10
+
+
+def _value_by_zip(seq, bits):
+    total = 0
+    for t, b in zip(seq.prefix(len(bits)), bits):
+        if b == "1":
+            total += t
+    return total
+
+
+# digits, lookalikes of "1" (superscript, Arabic-Indic, fullwidth) and a lone surrogate
+lookalikes = st.text(alphabet="0122 \u00b9\u0661\uff11\u00e9\ud800", max_size=40)
+
+
+@given(bits=st.text(max_size=60) | lookalikes, a=params)
+@settings(max_examples=300)
+def test_value_equals_zip_loop_on_any_text(bits, a):
+    for seq in (fib_sequence(), gh_sequence(a)):
+        assert value(seq, bits) == _value_by_zip(seq, bits)
 
 
 def test_normalize_examples():
@@ -102,6 +121,38 @@ def test_validate_codeword_errors():
     validate_codeword("11")
     validate_codeword("011")
     validate_codeword("0100011")
+
+
+def _validate_by_loop(code):
+    # the character check as one loop over code, then the structural checks
+    for i, ch in enumerate(code):
+        if ch not in "01":
+            return f"invalid character {ch!r}", i
+    if len(code) < 2:
+        return "codeword shorter than the closing pair", 0
+    if not code.endswith("11"):
+        return "missing closing 11", len(code) - 2
+    first = code.find("11")
+    if first != len(code) - 2:
+        return "interior adjacent ones", first
+    return None
+
+
+def _validate_outcome(code):
+    try:
+        validate_codeword(code)
+    except MalformedCodeError as exc:
+        return exc.rule, exc.offset
+    return None
+
+
+@given(code=st.text(alphabet="01x2\u00b9\u00e9", max_size=20) | st.text(max_size=20))
+@example(code="0101x1y11")
+@example(code="\u00e911")
+@example(code="011 ")
+@settings(max_examples=300)
+def test_validate_codeword_rule_and_offset(code):
+    assert _validate_outcome(code) == _validate_by_loop(code)
 
 
 @given(bits=bitstrings)

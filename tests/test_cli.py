@@ -175,6 +175,13 @@ def test_gaps_max_n_cap_exits_before_scanning(capsys, monkeypatch):
     assert err == "error: --max-n must be <= 10000000, got 10000001\n"
 
 
+def test_bench_count_cap_exits_before_drawing(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_gen_values", lambda *args, **kw: pytest.fail("drew values"))
+    code, out, err = run(capsys, "bench", "--dist", "constant:1", "--count", str(10**7 + 1))
+    assert (code, out) == (2, "")
+    assert err == "error: --count must be <= 10000000, got 10000001\n"
+
+
 def test_bench_constant_fib(capsys):
     code, out, _ = run(capsys, "bench", "--dist", "constant:1", "--count", "100",
                        "--codes", "fib", "--format", "csv")

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 from ghcodes.bits import MalformedCodeError, value
 from ghcodes.ghcodec import (
     NonPositiveValueError,
+    _tail_greedy,
+    _tail_terms,
     decode,
     encode_fast,
     encode_simple,
@@ -87,6 +89,47 @@ def test_greedy_split_contract(a, n):
     taken = set(picked)
     assert all(i + 1 not in taken for i in taken)
     assert all(i >= 6 for i in picked)
+
+
+def _greedy_per_pick(seq, target):
+    # one sequence lookup per pick: the reference the term-list greedy must match
+    picked = []
+    while target >= seq.term(6):
+        i = seq.largest_remaining_leq(target)
+        picked.append(i)
+        target -= seq.term(i)
+    return tuple(picked), target
+
+
+@given(
+    a=st.integers(min_value=-300, max_value=-2),
+    target=st.integers(min_value=0, max_value=10**40),
+    extra=st.integers(min_value=0, max_value=10**40),
+)
+@settings(max_examples=300)
+def test_tail_greedy_equals_per_pick_greedy(a, target, extra):
+    # the list may be fetched for any n >= target, as the fallback attempt does
+    seq = gh_sequence(a)
+    for n in (max(target, 1), target + extra + 1):
+        assert _tail_greedy(_tail_terms(seq, n), target) == _greedy_per_pick(seq, target)
+
+
+def test_tail_greedy_equals_per_pick_greedy_on_every_small_target():
+    for a in (-2, -7, -1000):
+        seq = gh_sequence(a)
+        last = seq.term(12)
+        whole = _tail_terms(seq, last)
+        for target in range(last + 1):
+            expected = _greedy_per_pick(seq, target)
+            assert _tail_greedy(_tail_terms(seq, max(target, 1)), target) == expected
+            assert _tail_greedy(whole, target) == expected
+
+
+def test_remainder_table_keys_ascend():
+    # encode_simple stops at the first key above n, so the order is load-bearing
+    for a in [*range(-40, -1), -1000, -32768]:
+        keys = list(remainder_table(a).entries)
+        assert all(x < y for x, y in zip(keys, keys[1:])), a
 
 
 def test_encode_simple_examples():

@@ -1,7 +1,14 @@
 import pytest
 
 from ghcodes.ghcodec import encode_fast, exists, missing_upto
-from ghcodes.oracle import SearchLimitError, all_codes, gap_scan, oracle_exists
+from ghcodes.oracle import (
+    SearchLimitError,
+    _SubsetSearcher,
+    all_codes,
+    gap_scan,
+    oracle_exists,
+)
+from ghcodes.sequences import GHSequence
 
 
 def test_existence_examples():
@@ -86,6 +93,47 @@ def test_search_bound_slack_does_not_change_verdicts():
 def test_search_cap():
     with pytest.raises(SearchLimitError):
         oracle_exists(-2, 10**9, max_index=20)
+
+
+def _bound_by_loop(seq, n, max_index):
+    # linear walk up from index 7; None where it would pass max_index
+    i = 7
+    while seq.term(i) + seq.term(1) <= n:
+        i += 1
+        if i > max_index:
+            return None
+    return i
+
+
+def _bound_outcome(searcher, n, max_index):
+    try:
+        return searcher.bound(n, max_index, 0)
+    except SearchLimitError:
+        return None
+
+
+def test_search_bound_equals_linear_walk():
+    for a in (-2, -7, -1000):
+        searcher = _SubsetSearcher(a)
+        seq = searcher.seq
+        for max_index in range(7, 21):
+            # every bound change up to two indices past the cap, and its neighbours
+            ns = {*range(1, 100)}
+            for j in range(6, max_index + 3):
+                edge = seq.term(j) + seq.term(1)
+                ns.update(m for m in (edge - 1, edge, edge + 1) if m >= 1)
+            for n in sorted(ns):
+                assert _bound_outcome(searcher, n, max_index) == _bound_by_loop(seq, n, max_index)
+            assert searcher.bound(3, max_index, 4) == _bound_by_loop(seq, 3, max_index) + 4
+
+
+def test_search_bound_does_not_grow_the_sequence_for_hostile_n():
+    for max_index in (7, 20, 64):
+        searcher = _SubsetSearcher(-7)
+        searcher.seq = GHSequence(-7, horizon=2)  # private, so other tests cannot grow it
+        with pytest.raises(SearchLimitError):
+            searcher.bound(10**4000, max_index, 0)
+        assert len(searcher.seq._terms) - 1 <= max_index + 1
 
 
 def test_csv_and_summary_rendering():
