@@ -13,8 +13,8 @@ import time
 from dataclasses import dataclass
 
 from ghcodes.fibcodec import fib_decode, fib_encode
-from ghcodes.ghcodec import decode, encode_fast, encode_simple, exists
-from ghcodes.oracle import gap_scan, oracle_exists
+from ghcodes.ghcodec import decode, encode_fast, encode_simple, missing_runs
+from ghcodes.oracle import expand_runs, gap_scan, oracle_exists
 from ghcodes.sequences import gh_sequence
 from ghcodes.stream import (
     UnencodableValueError,
@@ -24,8 +24,8 @@ from ghcodes.stream import (
 )
 
 DEFAULT_SEED = 12345
-# gap_scan keeps every missing n and, while it scans, one residual per n,
-# so memory grows with --max-n: up to about 580 MiB peak RSS at this cap
+# a scan holds every run it finds, and for small k those grow with --max-n:
+# about 145 MiB peak RSS at a=-5 and this cap, 18 MiB at a=-1000
 _MAX_SCAN_N = 10**7
 # bench draws every value into one list before it encodes any
 _MAX_BENCH_COUNT = 10**7
@@ -113,15 +113,11 @@ def _cmd_exists(args) -> int:
     lo, hi = _parse_span(args.n, "n")
     if lo < 1:
         raise ValueError(f"n must be >= 1, got {lo}")
-    single = lo == hi
-    missing = 0
-    for n in range(lo, hi + 1):
-        ok = exists(a, n)
-        if not ok:
-            missing += 1
-        word = "yes" if ok else "no"
-        print(word if single else f"{n} {word}")
-    return 0 if missing == 0 else 1
+    # a single n prints its verdict alone: "yes\n".format(n) is "yes\n"
+    formats = ("yes\n", "no\n") if lo == hi else ("{} yes\n", "{} no\n")
+    sys.stdout.writelines(expand_runs(missing_runs(a, lo, hi), lo, hi, *formats))
+    # the rows streamed from that walk; a second one stops at the first run
+    return 0 if next(missing_runs(a, lo, hi), None) is None else 1
 
 
 def _cmd_table(args) -> int:

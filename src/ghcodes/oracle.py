@@ -10,14 +10,15 @@ subproblem verdicts, safe to reuse across calls.
 
 import json
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import groupby
 
 # unused here, but the benchmark tracer (perfbench/tracer.py) patches this
 # name when it installs, and fails on every workload if it is missing
 from ghcodes.ghcodec import exists as _codec_exists  # noqa: F401
-from ghcodes.ghcodec import missing_upto
+from ghcodes.ghcodec import missing_runs
 from ghcodes.sequences import gh_sequence
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "GapReport",
     "SearchLimitError",
     "all_codes",
+    "expand_runs",
     "gap_scan",
     "oracle_exists",
 ]
@@ -38,23 +40,20 @@ class SearchLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class GapReport:
-    """Existence bitmap summary over an inclusive range of n."""
+    """Maximal runs (start, length) of n with no code over an inclusive range."""
 
     a: int
     n_range: tuple[int, int]
-    missing: tuple[int, ...]
     runs: tuple[tuple[int, int], ...]
-    max_run: int
+
+    @cached_property
+    def max_run(self) -> int:
+        return max((length for _, length in self.runs), default=0)
 
     def csv_rows(self) -> Iterator[str]:
         """The lines of to_csv(), header first, one at a time."""
-        lo, hi = self.n_range
-        absent = bytearray(hi - lo + 1)  # one byte per n, not a set of ints
-        for n in self.missing:
-            absent[n - lo] = 1
         yield "n,exists"
-        for n, gone in zip(range(lo, hi + 1), absent):
-            yield f"{n},{'false' if gone else 'true'}"
+        yield from expand_runs(self.runs, *self.n_range, "{},true", "{},false")
 
     def to_csv(self) -> str:
         """Rows n,exists over the scanned range."""
@@ -67,11 +66,28 @@ class GapReport:
                 "a": self.a,
                 "k": gh_sequence(self.a).gap_parameter,
                 "n_range": self.n_range,
-                "missing_count": len(self.missing),
+                "missing_count": sum(length for _, length in self.runs),
                 "max_run": self.max_run,
                 "runs": self.runs,
             }
         )
+
+
+def expand_runs(
+    runs: Iterable[tuple[int, int]], lo: int, hi: int, present: str, absent: str
+) -> Iterator[str]:
+    """One line per n in lo..hi, ascending, from the runs of missing n in it.
+
+    A line is absent.format(n) for n inside a run, present.format(n)
+    otherwise. The runs are read once, as they come, so a walk can feed
+    them without holding them all.
+    """
+    n = lo
+    for start, length in runs:
+        yield from map(present.format, range(n, start))
+        n = start + length
+        yield from map(absent.format, range(start, n))
+    yield from map(present.format, range(n, hi + 1))
 
 
 class _SubsetSearcher:
@@ -103,7 +119,8 @@ class _SubsetSearcher:
         i = bisect_right(terms, n - terms[0], 6, top) + 1
         if i > top:
             raise SearchLimitError(
-                f"search bound exceeds cap {max_index} for a={self.seq.a}, n={n}"
+                f"search bound exceeds cap {max_index} for a={self.seq.a}, "
+                f"n of {n.bit_length()} bits"
             )
         return i + slack
 
@@ -178,24 +195,18 @@ def all_codes(a: int, n: int, max_index: int = DEFAULT_MAX_INDEX) -> set[str]:
 
 
 def gap_scan(a: int, n_max: int, mode: str = "fast") -> GapReport:
-    """Existence over 1..n_max with runs of consecutive missing values."""
+    """Existence over 1..n_max as runs of consecutive missing values.
+
+    The oracle mode decides each n by exhaustive search, the reference
+    the fast walk over greedy residuals is tested against.
+    """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    gh_sequence(a)  # validate the parameter before scanning
     if mode == "fast":
-        missing = missing_upto(a, n_max)
+        runs = tuple(missing_runs(a, 1, n_max))
     elif mode == "oracle":
-        searcher = _searcher(a)
-        missing = tuple(n for n in range(1, n_max + 1) if not searcher.exists(n))
+        groups = groupby(range(1, n_max + 1), _searcher(a).exists)
+        runs = tuple((ns[0], len(ns)) for ns in (list(g) for ok, g in groups if not ok))
     else:
         raise ValueError(f"mode must be 'fast' or 'oracle', got {mode!r}")
-    # a run starts at each missing n whose predecessor n - 1 is not missing
-    starts = [i for i, (prev, n) in enumerate(zip((-1, *missing), missing)) if n != prev + 1]
-    runs = tuple((missing[i], j - i) for i, j in zip(starts, starts[1:] + [len(missing)]))
-    return GapReport(
-        a=a,
-        n_range=(1, n_max),
-        missing=missing,
-        runs=runs,
-        max_run=max((length for _, length in runs), default=0),
-    )
+    return GapReport(a=a, n_range=(1, n_max), runs=runs)

@@ -2,7 +2,7 @@ import pytest
 
 from ghcodes import cli
 from ghcodes.cli import main
-from ghcodes.ghcodec import decode
+from ghcodes.ghcodec import decode, exists
 from ghcodes.oracle import gap_scan
 
 
@@ -68,6 +68,14 @@ def test_exists_range(capsys):
     code, out, _ = run(capsys, "exists", "--a", "-5", "4:6")
     assert code == 1
     assert out.strip().splitlines() == ["4 yes", "5 no", "6 yes"]
+    for a, lo, hi in ((-7, 99_990, 100_020), (-12, 1, 3000), (-7, 10**21, 10**21 + 300)):
+        code, out, _ = run(capsys, "exists", "--a", str(a), f"{lo}:{hi}")
+        assert code == 1
+        assert out == "".join(
+            f"{n} {'yes' if exists(a, n) else 'no'}\n" for n in range(lo, hi + 1)
+        )
+    code, out, _ = run(capsys, "exists", "--a", "-3", "1:2000")
+    assert code == 0 and out == "".join(f"{n} yes\n" for n in range(1, 2001))
 
 
 def test_invalid_a_is_usage_error(capsys):

@@ -11,7 +11,7 @@ from ghcodes.ghcodec import (
     encode_simple,
     exists,
     greedy_remaining,
-    missing_upto,
+    missing_runs,
     remainder_lookup,
     remainder_table,
 )
@@ -53,7 +53,6 @@ def test_remainder_table_shape():
         assert table.entries[k + 5] == "01000"
         assert table.entries[2 * k + 11] == "01010"
         assert table.gap_intervals == ((5, k + 4), (k + 11, 2 * k + 10))
-        assert table.representable_set == frozenset(table.entries)
 
 
 def test_gap_intervals_match_exhaustive_five_bit_search():
@@ -236,25 +235,74 @@ def test_emitted_codes_are_prefix_free():
         assert not cur.startswith(prev)
 
 
-def _missing_by_exists(a, n_max):
-    return tuple(n for n in range(1, n_max + 1) if not exists(a, n))
+def _missing_by_exists(a, lo, hi):
+    return tuple(n for n in range(lo, hi + 1) if not exists(a, n))
+
+
+def _expand(runs):
+    return tuple(n for start, length in runs for n in range(start, start + length))
 
 
 def test_missing_upto_equals_per_n_exists():
     for a in [*range(-40, -1), -100, -1000]:
         below_tail = gh_sequence(a).term(6) - 1
         for n_max in (1, 2, below_tail, below_tail + 1, 3000):
-            assert missing_upto(a, n_max) == _missing_by_exists(a, n_max), (a, n_max)
+            got = _expand(missing_runs(a, 1, n_max))
+            assert got == _missing_by_exists(a, 1, n_max), (a, n_max)
 
 
 @given(a=st.integers(min_value=-300, max_value=-2), n_max=st.integers(min_value=1, max_value=4000))
 @settings(max_examples=60, deadline=None)
 def test_missing_upto_property(a, n_max):
-    assert missing_upto(a, n_max) == _missing_by_exists(a, n_max)
+    assert _expand(missing_runs(a, 1, n_max)) == _missing_by_exists(a, 1, n_max)
+
+
+@given(
+    a=st.integers(min_value=-300, max_value=-2),
+    x=st.integers(min_value=1, max_value=5000),
+    y=st.integers(min_value=1, max_value=5000),
+)
+@settings(max_examples=100, deadline=None)
+def test_missing_runs_on_any_window_equals_per_n_exists(a, x, y):
+    lo, hi = sorted((x, y))
+    runs = list(missing_runs(a, lo, hi))
+    assert _expand(runs) == _missing_by_exists(a, lo, hi)
+    for (s1, l1), (s2, _) in zip(runs, runs[1:]):
+        assert s1 + l1 < s2  # maximal: a present n separates consecutive runs
+
+
+def test_missing_runs_far_from_zero():
+    lo = 10**30
+    for a in (-5, -7, -12, -300, -1000):
+        for hi in (lo, lo + 1, lo + 3000):
+            assert _expand(missing_runs(a, lo, hi)) == _missing_by_exists(a, lo, hi), (a, hi)
+
+
+def test_every_run_is_one_gap_interval_of_its_leaf():
+    # the k-bound for every n: a run is a gap interval of the residuals of
+    # one leaf, whole or less its last n, so it is never longer than k
+    for a in [*range(-40, -4), -1000]:
+        k = -(a + 4)
+        intervals = remainder_table(a).gap_intervals
+        hi = gh_sequence(a).term(16)
+        runs = list(missing_runs(a, 1, hi))
+        for start, length in runs:
+            r_first = greedy_remaining(a, start)[2]
+            r_last = greedy_remaining(a, start + length - 1)[2]
+            assert r_last - r_first == length - 1, (a, start)  # one leaf
+            lo_gap, hi_gap = next(g for g in intervals if g[0] <= r_first <= g[1])
+            assert r_first == lo_gap and hi_gap - 1 <= r_last <= hi_gap, (a, start)
+        assert max(length for _, length in runs) == k
+        for n_max in (k + 4, k + 5, 10 * k + 50):
+            assert max(length for _, length in missing_runs(a, 1, n_max)) == k, (a, n_max)
+    for a in (-2, -3, -4):
+        assert list(missing_runs(a, 1, 10**6)) == []
 
 
 def test_missing_upto_rejects_bad_arguments():
+    # a generator checks its arguments when iteration starts
+    for lo, hi in ((1, 0), (0, 10), (-3, 5), (7, 6)):
+        with pytest.raises(ValueError):
+            next(missing_runs(-5, lo, hi))
     with pytest.raises(ValueError):
-        missing_upto(-5, 0)
-    with pytest.raises(ValueError):
-        missing_upto(-1, 10)
+        next(missing_runs(-1, 1, 10))

@@ -1,6 +1,9 @@
+import json
+import tracemalloc
+
 import pytest
 
-from ghcodes.ghcodec import encode_fast, exists, missing_upto
+from ghcodes.ghcodec import encode_fast, exists, missing_runs
 from ghcodes.oracle import (
     SearchLimitError,
     _SubsetSearcher,
@@ -47,12 +50,16 @@ def test_rejects_bad_arguments():
         gap_scan(-5, 10, mode="psychic")
 
 
+def _expand(runs):
+    return tuple(n for start, length in runs for n in range(start, start + length))
+
+
 def test_gap_scan_examples():
     report = gap_scan(-5, 100, mode="oracle")
-    assert {5, 12} <= set(report.missing)
+    assert {5, 12} <= set(_expand(report.runs))
     assert report.max_run == 1
     clean = gap_scan(-2, 100)
-    assert clean.missing == ()
+    assert clean.runs == ()
     assert clean.max_run == 0
     assert gap_scan(-10, 2000).max_run <= 6
 
@@ -65,8 +72,20 @@ def test_missing_upto_equals_oracle_scan():
     for a in (-5, -7, -12):
         for n_max in (1, 17, 400):
             report = gap_scan(a, n_max, mode="oracle")
-            assert missing_upto(a, n_max) == report.missing
+            assert tuple(missing_runs(a, 1, n_max)) == report.runs
             assert gap_scan(a, n_max, mode="fast") == report
+            assert json.loads(report.summary())["missing_count"] == len(_expand(report.runs))
+
+
+def test_gap_scan_memory_does_not_grow_with_n_max():
+    tracemalloc.start()
+    try:
+        report = gap_scan(-1000, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.max_run == 996
+    assert peak < 4 * 2**20, peak
 
 
 def test_gap_bound_holds_to_two_hundred_thousand():
@@ -77,8 +96,7 @@ def test_gap_bound_holds_to_two_hundred_thousand():
 
 def test_gap_report_runs_structure():
     report = gap_scan(-5, 60)
-    rebuilt = [n for start, length in report.runs for n in range(start, start + length)]
-    assert tuple(rebuilt) == report.missing
+    assert _expand(report.runs) == tuple(n for n in range(1, 61) if not exists(-5, n))
     for (s1, l1), (s2, _) in zip(report.runs, report.runs[1:]):
         assert s1 + l1 < s2  # runs are maximal, so a gap separates them
     assert report.max_run == max((l for _, l in report.runs), default=0)
@@ -93,6 +111,12 @@ def test_search_bound_slack_does_not_change_verdicts():
 def test_search_cap():
     with pytest.raises(SearchLimitError):
         oracle_exists(-2, 10**9, max_index=20)
+
+
+def test_search_cap_names_a_huge_n_by_its_size():
+    # formatting n in decimal would itself fail past 4300 digits
+    with pytest.raises(SearchLimitError, match="n of 16610 bits"):
+        oracle_exists(-7, 10**5000)
 
 
 def _bound_by_loop(seq, n, max_index):
