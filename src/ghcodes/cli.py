@@ -6,15 +6,18 @@ verification failed, 2 usage or malformed input, 3 gap bound violation.
 """
 
 import argparse
+import json
 import math
 import random
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import groupby
 
 from ghcodes.fibcodec import fib_decode, fib_encode
 from ghcodes.ghcodec import decode, encode_fast, encode_simple, missing_runs
-from ghcodes.oracle import expand_runs, gap_scan, oracle_exists
+from ghcodes.oracle import oracle_exists
 from ghcodes.sequences import gh_sequence
 from ghcodes.stream import (
     UnencodableValueError,
@@ -33,6 +36,10 @@ _MAX_BENCH_COUNT = 10**7
 _MAX_VERIFY_N = 10**6
 
 
+def _is_negative(tok: str) -> bool:
+    return len(tok) > 1 and tok[0] == "-" and tok[1].isdigit()
+
+
 def _merge_negative_values(argv: list[str]) -> list[str]:
     # "--a -20:-2" would otherwise be read as flag + unknown option;
     # fold such values into the "--a=-20:-2" form argparse accepts
@@ -40,14 +47,17 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--a", "--n") and i + 1 < len(argv):
-            nxt = argv[i + 1]
-            if len(nxt) > 1 and nxt[0] == "-" and nxt[1].isdigit():
-                merged.append(f"{tok}={nxt}")
-                i += 2
-                continue
+        if tok in ("--a", "--n") and i + 1 < len(argv) and _is_negative(argv[i + 1]):
+            merged.append(f"{tok}={argv[i + 1]}")
+            i += 2
+            continue
         merged.append(tok)
         i += 1
+    # the same holds for the n of exists ("-5:-1"), which has no flag to
+    # fold into, so it goes after "--"; argparse takes "-5" alone as a number
+    spans = [tok for tok in merged if _is_negative(tok)]
+    if merged[:1] == ["exists"] and spans and "--" not in merged:
+        return [tok for tok in merged if not _is_negative(tok)] + ["--", *spans]
     return merged
 
 
@@ -110,6 +120,23 @@ def _cmd_decode(args) -> int:
     return 0
 
 
+def _expand_runs(
+    runs: Iterable[tuple[int, int]], lo: int, hi: int, present: str, absent: str
+) -> Iterator[str]:
+    """One line per n in lo..hi, ascending, from the runs of missing n in it.
+
+    A line is absent.format(n) for n inside a run, present.format(n)
+    otherwise. The runs are read once, as they come, so a walk can feed
+    them without holding them all.
+    """
+    n = lo
+    for start, length in runs:
+        yield from map(present.format, range(n, start))
+        n = start + length
+        yield from map(absent.format, range(start, n))
+    yield from map(present.format, range(n, hi + 1))
+
+
 def _cmd_exists(args) -> int:
     a = _require_a(args)
     lo, hi = _parse_span(args.n, "n")
@@ -117,7 +144,7 @@ def _cmd_exists(args) -> int:
         raise ValueError(f"n must be >= 1, got {lo}")
     # a single n prints its verdict alone: "yes\n".format(n) is "yes\n"
     formats = ("yes\n", "no\n") if lo == hi else ("{} yes\n", "{} no\n")
-    sys.stdout.writelines(expand_runs(missing_runs(a, lo, hi), lo, hi, *formats))
+    sys.stdout.writelines(_expand_runs(missing_runs(a, lo, hi), lo, hi, *formats))
     # the rows streamed from that walk; a second one stops at the first run
     return 0 if next(missing_runs(a, lo, hi), None) is None else 1
 
@@ -140,6 +167,18 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def gap_scan(a: int, n_max: int, mode: str) -> tuple[tuple[int, int], ...]:
+    """Maximal runs (start, length) of n in 1..n_max with no code, ascending.
+
+    The oracle mode decides each n by exhaustive search, the reference
+    the fast walk over greedy residuals is tested against.
+    """
+    if mode == "fast":
+        return tuple(missing_runs(a, 1, n_max))
+    groups = groupby(range(1, n_max + 1), lambda n: oracle_exists(a, n))
+    return tuple((ns[0], len(ns)) for ns in (list(g) for ok, g in groups if not ok))
+
+
 def _cmd_gaps(args) -> int:
     if args.max_n < 1:
         raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
@@ -150,12 +189,17 @@ def _cmd_gaps(args) -> int:
         raise ValueError(f"--format csv takes a single --a, got {args.a!r}")
     status = 0
     for a in range(a_lo, a_hi + 1):
-        report = gap_scan(a, args.max_n, mode=args.mode)
+        runs = gap_scan(a, args.max_n, args.mode)
+        k = gh_sequence(a).gap_parameter
+        max_run = max((length for _, length in runs), default=0)
         if args.format == "csv":
-            sys.stdout.writelines(f"{row}\n" for row in report.csv_rows())
+            print("n,exists")
+            sys.stdout.writelines(_expand_runs(runs, 1, args.max_n, "{},true\n", "{},false\n"))
         else:
-            print(report.summary())
-        if report.max_run > (gh_sequence(a).gap_parameter or 0):
+            missing_count = sum(length for _, length in runs)
+            print(json.dumps({"a": a, "k": k, "n_range": (1, args.max_n),
+                              "missing_count": missing_count, "max_run": max_run, "runs": runs}))
+        if max_run > (k or 0):
             status = 3
     return status
 

@@ -6,34 +6,17 @@ shares only the sequence cache with the encoder, so agreement between
 the two is meaningful evidence rather than a tautology. Searches are
 pure and independent per n; the memo they share is a cache of
 subproblem verdicts, safe to reuse across calls.
-
-The module also hosts gap reporting, whose fast mode reads its runs
-from ghcodec.missing_runs, and _codec_exists, ghcodec.exists under the
-name the benchmark tracer patches. Neither is part of the reference.
 """
 
-import json
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import groupby
+from functools import lru_cache
 
 # unused here, but the benchmark tracer (perfbench/tracer.py) patches this
 # name when it installs, and fails on every workload if it is missing
 from ghcodes.ghcodec import exists as _codec_exists  # noqa: F401
-from ghcodes.ghcodec import missing_runs
 from ghcodes.sequences import CACHED_PARAMETERS, gh_sequence
 
-__all__ = [
-    "DEFAULT_MAX_INDEX",
-    "GapReport",
-    "SearchLimitError",
-    "all_codes",
-    "expand_runs",
-    "gap_scan",
-    "oracle_exists",
-]
+__all__ = ["DEFAULT_MAX_INDEX", "SearchLimitError", "all_codes", "oracle_exists"]
 
 # the highest sequence index a search may touch; read at call time
 DEFAULT_MAX_INDEX = 64
@@ -41,54 +24,6 @@ DEFAULT_MAX_INDEX = 64
 
 class SearchLimitError(RuntimeError):
     """The search would need more sequence indices than DEFAULT_MAX_INDEX."""
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Maximal runs (start, length) of n with no code over an inclusive range."""
-
-    a: int
-    n_range: tuple[int, int]
-    runs: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def max_run(self) -> int:
-        return max((length for _, length in self.runs), default=0)
-
-    def csv_rows(self) -> Iterator[str]:
-        """Lines n,exists over the scanned range, header first, one at a time."""
-        yield "n,exists"
-        yield from expand_runs(self.runs, *self.n_range, "{},true", "{},false")
-
-    def summary(self) -> str:
-        """One JSON object with the headline numbers."""
-        return json.dumps(
-            {
-                "a": self.a,
-                "k": gh_sequence(self.a).gap_parameter,
-                "n_range": self.n_range,
-                "missing_count": sum(length for _, length in self.runs),
-                "max_run": self.max_run,
-                "runs": self.runs,
-            }
-        )
-
-
-def expand_runs(
-    runs: Iterable[tuple[int, int]], lo: int, hi: int, present: str, absent: str
-) -> Iterator[str]:
-    """One line per n in lo..hi, ascending, from the runs of missing n in it.
-
-    A line is absent.format(n) for n inside a run, present.format(n)
-    otherwise. The runs are read once, as they come, so a walk can feed
-    them without holding them all.
-    """
-    n = lo
-    for start, length in runs:
-        yield from map(present.format, range(n, start))
-        n = start + length
-        yield from map(absent.format, range(start, n))
-    yield from map(present.format, range(n, hi + 1))
 
 
 class _SubsetSearcher:
@@ -189,20 +124,3 @@ def all_codes(a: int, n: int) -> set[str]:
         raise ValueError(f"n must be >= 1, got {n}")
     return _searcher(a).codes(n)
 
-
-def gap_scan(a: int, n_max: int, mode: str = "fast") -> GapReport:
-    """Existence over 1..n_max as runs of consecutive missing values.
-
-    The oracle mode decides each n by exhaustive search, the reference
-    the fast walk over greedy residuals is tested against.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if mode == "fast":
-        runs = tuple(missing_runs(a, 1, n_max))
-    elif mode == "oracle":
-        groups = groupby(range(1, n_max + 1), _searcher(a).exists)
-        runs = tuple((ns[0], len(ns)) for ns in (list(g) for ok, g in groups if not ok))
-    else:
-        raise ValueError(f"mode must be 'fast' or 'oracle', got {mode!r}")
-    return GapReport(a=a, n_range=(1, n_max), runs=runs)

@@ -5,7 +5,6 @@ import pytest
 from ghcodes import cli
 from ghcodes.cli import main
 from ghcodes.ghcodec import decode, exists
-from ghcodes.oracle import gap_scan
 
 
 def run(capsys, *argv):
@@ -152,7 +151,9 @@ def test_gaps_csv(capsys):
 def test_gaps_csv_streams_the_report_rows(capsys):
     code, out, _ = run(capsys, "gaps", "--a", "-7", "--max-n", "3000", "--format", "csv")
     assert code == 0
-    assert out == "".join(f"{row}\n" for row in gap_scan(-7, 3000).csv_rows())
+    assert out == "n,exists\n" + "".join(
+        f"{n},{'true' if exists(-7, n) else 'false'}\n" for n in range(1, 3001)
+    )
 
 
 def test_gaps_range_equals_single_runs_in_order(capsys):
@@ -204,11 +205,32 @@ def test_a_bound_error_text_is_shared(capsys, argv):
     assert (code, out, err) == (2, "", "error: parameter a must be <= -2, got -1\n")
 
 
+@pytest.mark.parametrize("n", ["-5", "-5:-1", "-5:3"])
+def test_exists_negative_n_is_usage_error(capsys, n):
+    # a negative span would otherwise read as an unknown option, not as n
+    code, out, err = run(capsys, "exists", "--a", "-7", n)
+    assert (code, out, err) == (2, "", "error: n must be >= 1, got -5\n")
+
+
 def test_gaps_max_n_cap_exits_before_scanning(capsys, monkeypatch):
     monkeypatch.setattr(cli, "gap_scan", lambda *args, **kw: pytest.fail("scanned"))
     code, out, err = run(capsys, "gaps", "--a", "-7", "--max-n", str(10**7 + 1))
     assert (code, out) == (2, "")
     assert err == "error: --max-n must be <= 10000000, got 10000001\n"
+
+
+def test_gaps_max_n_below_one_exits_before_scanning(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "gap_scan", lambda *args, **kw: pytest.fail("scanned"))
+    code, out, err = run(capsys, "gaps", "--a", "-7", "--max-n", "0")
+    assert (code, out, err) == (2, "", "error: --max-n must be >= 1, got 0\n")
+
+
+def test_gaps_rejects_unknown_mode(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "gap_scan", lambda *args, **kw: pytest.fail("scanned"))
+    with pytest.raises(SystemExit) as exc:
+        main(["gaps", "--a", "-7", "--max-n", "10", "--mode", "psychic"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'psychic'" in capsys.readouterr().err
 
 
 def test_verify_max_n_cap_exits_before_checking(capsys, monkeypatch):

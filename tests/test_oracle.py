@@ -4,14 +4,9 @@ import tracemalloc
 import pytest
 
 from ghcodes import oracle
+from ghcodes.cli import gap_scan, main
 from ghcodes.ghcodec import encode_fast, exists, missing_runs
-from ghcodes.oracle import (
-    SearchLimitError,
-    _SubsetSearcher,
-    all_codes,
-    gap_scan,
-    oracle_exists,
-)
+from ghcodes.oracle import SearchLimitError, _SubsetSearcher, all_codes, oracle_exists
 from ghcodes.sequences import GHSequence
 
 
@@ -45,59 +40,63 @@ def test_rejects_bad_arguments():
         oracle_exists(-2, 0)
     with pytest.raises(ValueError):
         oracle_exists(-1, 5)
-    with pytest.raises(ValueError):
-        gap_scan(-5, 0)
-    with pytest.raises(ValueError):
-        gap_scan(-5, 10, mode="psychic")
 
 
 def _expand(runs):
     return tuple(n for start, length in runs for n in range(start, start + length))
 
 
+def _max_run(runs):
+    return max((length for _, length in runs), default=0)
+
+
+def _gaps_out(capsys, *argv):
+    assert main(["gaps", *argv]) == 0
+    return capsys.readouterr().out
+
+
 def test_gap_scan_examples():
-    report = gap_scan(-5, 100, mode="oracle")
-    assert {5, 12} <= set(_expand(report.runs))
-    assert report.max_run == 1
-    clean = gap_scan(-2, 100)
-    assert clean.runs == ()
-    assert clean.max_run == 0
-    assert gap_scan(-10, 2000).max_run <= 6
+    runs = gap_scan(-5, 100, "oracle")
+    assert {5, 12} <= set(_expand(runs))
+    assert _max_run(runs) == 1
+    assert gap_scan(-2, 100, "fast") == ()
+    assert _max_run(gap_scan(-10, 2000, "fast")) <= 6
 
 
 def test_gap_scan_modes_agree():
-    assert gap_scan(-6, 400, mode="fast") == gap_scan(-6, 400, mode="oracle")
+    assert gap_scan(-6, 400, "fast") == gap_scan(-6, 400, "oracle")
 
 
-def test_missing_upto_equals_oracle_scan():
+def test_missing_upto_equals_oracle_scan(capsys):
     for a in (-5, -7, -12):
         for n_max in (1, 17, 400):
-            report = gap_scan(a, n_max, mode="oracle")
-            assert tuple(missing_runs(a, 1, n_max)) == report.runs
-            assert gap_scan(a, n_max, mode="fast") == report
-            assert json.loads(report.summary())["missing_count"] == len(_expand(report.runs))
+            runs = gap_scan(a, n_max, "oracle")
+            assert tuple(missing_runs(a, 1, n_max)) == runs
+            assert gap_scan(a, n_max, "fast") == runs
+            out = _gaps_out(capsys, "--a", str(a), "--max-n", str(n_max), "--mode", "oracle")
+            assert json.loads(out)["missing_count"] == len(_expand(runs))
 
 
 def test_gap_scan_memory_does_not_grow_with_n_max():
     tracemalloc.start()
     try:
-        report = gap_scan(-1000, 10**7)
+        runs = gap_scan(-1000, 10**7, "fast")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.max_run == 996
+    assert _max_run(runs) == 996
     assert peak < 4 * 2**20, peak
 
 
 def test_per_a_caches_stay_bounded_over_many_a():
     # sequences, remainder tables and searchers are cached per a; a CLI
     # span of a can name tens of thousands of them
-    gap_scan(-2, 1)
+    gap_scan(-2, 1, "fast")
     oracle_exists(-2, 1)
     tracemalloc.start()
     try:
         for a in range(-20_002, -2):
-            gap_scan(a, 1)
+            gap_scan(a, 1, "fast")
         for a in range(-2_002, -2):
             oracle_exists(a, 1)
         current, _ = tracemalloc.get_traced_memory()
@@ -108,16 +107,18 @@ def test_per_a_caches_stay_bounded_over_many_a():
 
 def test_gap_bound_holds_to_two_hundred_thousand():
     for k in range(1, 17):
-        report = gap_scan(-(4 + k), 200_000)
-        assert 0 < report.max_run <= k, (k, report.max_run)
+        max_run = _max_run(gap_scan(-(4 + k), 200_000, "fast"))
+        assert 0 < max_run <= k, (k, max_run)
 
 
-def test_gap_report_runs_structure():
-    report = gap_scan(-5, 60)
-    assert _expand(report.runs) == tuple(n for n in range(1, 61) if not exists(-5, n))
-    for (s1, l1), (s2, _) in zip(report.runs, report.runs[1:]):
+def test_gap_report_runs_structure(capsys):
+    runs = gap_scan(-5, 60, "fast")
+    assert _expand(runs) == tuple(n for n in range(1, 61) if not exists(-5, n))
+    for (s1, l1), (s2, _) in zip(runs, runs[1:]):
         assert s1 + l1 < s2  # runs are maximal, so a gap separates them
-    assert report.max_run == max((l for _, l in report.runs), default=0)
+    report = json.loads(_gaps_out(capsys, "--a", "-5", "--max-n", "60"))
+    assert report["max_run"] == max((l for _, l in runs), default=0)
+    assert report["runs"] == [list(run) for run in runs]
 
 
 def test_search_bound_slack_does_not_change_verdicts():
@@ -182,27 +183,26 @@ def test_search_bound_does_not_grow_the_sequence_for_hostile_n(monkeypatch):
         assert len(searcher.seq._terms) - 1 <= max_index + 1
 
 
-def test_csv_and_summary_rendering():
-    report = gap_scan(-5, 15)
-    lines = list(report.csv_rows())
+def test_csv_and_summary_rendering(capsys):
+    lines = _gaps_out(capsys, "--a", "-5", "--max-n", "15", "--format", "csv").splitlines()
     assert lines[0] == "n,exists"
     assert lines[1] == "1,true"
     assert lines[5] == "5,false"
     assert len(lines) == 16
-    summary = report.summary()
+    summary = _gaps_out(capsys, "--a", "-5", "--max-n", "15")
     assert '"a": -5' in summary
     assert '"k": 1' in summary
     assert '"max_run": 1' in summary
     assert "[5, 1]" in summary and "[12, 1]" in summary
 
 
-def test_summary_line_is_pinned():
+def test_summary_line_is_pinned(capsys):
     # the exact bytes `gaps` prints, for a scan with runs and one without
-    assert gap_scan(-7, 40).summary() == (
+    assert _gaps_out(capsys, "--a", "-7", "--max-n", "40") == (
         '{"a": -7, "k": 3, "n_range": [1, 40], "missing_count": 11, '
-        '"max_run": 3, "runs": [[5, 3], [14, 3], [24, 3], [34, 2]]}'
+        '"max_run": 3, "runs": [[5, 3], [14, 3], [24, 3], [34, 2]]}\n'
     )
-    assert gap_scan(-2, 40).summary() == (
+    assert _gaps_out(capsys, "--a", "-2", "--max-n", "40") == (
         '{"a": -2, "k": null, "n_range": [1, 40], "missing_count": 0, '
-        '"max_run": 0, "runs": []}'
+        '"max_run": 0, "runs": []}\n'
     )

@@ -355,3 +355,74 @@ def test_repeated_non_positive_word_is_garbage_every_time():
         ResyncToken("garbage", None, (7, 9)),
         ResyncToken("value", 7, (9, 14)),
     ]
+
+
+# the decoders' error contract on untrusted input: small blobs, mutated
+_FUZZ_CODECS = [("fib", 0), ("gh", -2), ("gh", -7), ("gh", -40)]
+# a word is at most 8 * 64 bits, so no sequence grows past a few hundred terms
+_FUZZ_MAX_PAYLOAD = 64
+
+
+@st.composite
+def _small_blobs(draw):
+    codec, a = draw(st.sampled_from(_FUZZ_CODECS))
+    values = draw(st.lists(st.integers(min_value=1, max_value=10**4), max_size=40))
+    if codec == "gh":
+        values = [v for v in values if encode_fast(a, v) is not None]
+    blob = stream_encode(codec, a, values)
+    while len(blob) - HEADER_SIZE > _FUZZ_MAX_PAYLOAD:
+        values.pop()
+        blob = stream_encode(codec, a, values)
+    return blob
+
+
+# (offset, width) of the version, codec, a, count and bit-length fields
+_HEADER_FIELDS = [(4, 1), (5, 1), (6, 2), (8, 8), (16, 8)]
+
+
+@st.composite
+def _mutated(draw, blob):
+    kind = draw(st.sampled_from(["flip", "truncate", "field", "append", "header"]))
+    out = bytearray(blob)
+    payload_bits = 8 * (len(blob) - HEADER_SIZE)
+    if kind == "flip" and payload_bits:
+        for p in draw(st.lists(st.integers(0, payload_bits - 1), min_size=1, max_size=4)):
+            out[HEADER_SIZE + p // 8] ^= 0x80 >> (p % 8)
+    elif kind == "truncate":
+        del out[draw(st.integers(0, len(blob))):]
+    elif kind == "field":  # a forged value, often a small one such as a = 0 or count = 1
+        offset, width = draw(st.sampled_from(_HEADER_FIELDS))
+        forged = draw(st.integers(0, 256**width - 1))
+        out[offset:offset + width] = forged.to_bytes(width, "little")
+    elif kind == "append":
+        out += draw(st.binary(min_size=1, max_size=8))
+    elif kind == "header":
+        for i in draw(st.lists(st.integers(0, HEADER_SIZE - 1), min_size=1, max_size=4)):
+            out[i] = draw(st.integers(0, 255))
+    return bytes(out)
+
+
+def _decode_or_error(decoder, blob):
+    try:
+        return decoder(blob)
+    except (HeaderError, PayloadError):  # any other exception fails the test
+        return None
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_decoders_raise_only_documented_errors_under_mutation(data):
+    blob = data.draw(_small_blobs())
+    strict = stream_decode(blob)
+    clean = resync_decode(blob)
+    assert [t.value for t in clean] == strict
+    assert all(t.kind == "value" for t in clean)
+    damaged = data.draw(_mutated(blob))
+    _decode_or_error(stream_decode, damaged)
+    tokens = _decode_or_error(resync_decode, damaged)
+    if tokens is None:
+        return
+    covered = min(int.from_bytes(damaged[16:24], "little"), 8 * (len(damaged) - HEADER_SIZE))
+    ends = [0] + [t.bit_span[1] for t in tokens]
+    assert [t.bit_span[0] for t in tokens] == ends[:-1]
+    assert ends[-1] == covered
