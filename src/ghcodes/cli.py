@@ -13,7 +13,8 @@ import sys
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
+from typing import TextIO
 
 from ghcodes.fibcodec import fib_decode, fib_encode
 from ghcodes.ghcodec import decode, encode_fast, encode_simple, missing_runs
@@ -34,6 +35,8 @@ _MAX_SCAN_N = 10**7
 _MAX_BENCH_COUNT = 10**7
 # the oracle's memo of subproblem verdicts grows by about 0.3 KiB per n
 _MAX_VERIFY_N = 10**6
+# characters per read of stream-pack's stdin; reading line by line was slower
+_STDIN_CHUNK = 65536
 
 
 def _is_negative(tok: str) -> bool:
@@ -332,16 +335,35 @@ def _cmd_verify(args) -> int:
     return 0 if not problems else 1
 
 
+def _stdin_chunks(stream: TextIO) -> Iterator[Iterable[int]]:
+    """The integers in whitespace-separated text, per _STDIN_CHUNK characters read.
+
+    A token that runs past the end of a chunk is kept as pieces until it
+    ends, so reading it takes time linear in its length.
+    """
+    pieces: list[str] = []
+    while chunk := stream.read(_STDIN_CHUNK):
+        tokens = chunk.split()
+        if pieces and not chunk[0].isspace():
+            pieces.append(tokens.pop(0))
+        if pieces and (tokens or chunk[-1].isspace()):
+            tokens.insert(0, "".join(pieces))
+            pieces = []
+        if tokens and not chunk[-1].isspace():
+            pieces.append(tokens.pop())
+        yield map(int, tokens)
+    if pieces:
+        yield [int("".join(pieces))]
+
+
 def _cmd_stream_pack(args) -> int:
     if args.code == "gh":
         a = _require_a(args)
     else:
         _require_no_a(args)
         a = 0
-    if args.values:
-        values = list(args.values)
-    else:
-        values = [int(tok) for tok in sys.stdin.read().split()]
+    # chained in C, so no Python frame resumes per value
+    values = args.values or chain.from_iterable(_stdin_chunks(sys.stdin))
     try:
         blob = stream_encode(args.code, a, values)
     except UnencodableValueError as exc:

@@ -18,17 +18,29 @@ decoder insists the payload parse into exactly the declared count; the
 token scanner instead realigns at the next pair after damage and
 reports what it could not validate as garbage spans.
 
-Small values dominate typical streams, so each call memoises codewords
-in a dict that lives only for that call: the encoder builds each
-distinct value's codeword once, and the decoders evaluate each distinct
-word once. Only codewords of at most _MEMO_MAX_BITS (24) bits are kept;
-longer ones are rebuilt or re-evaluated every time. Each entry stands
-for a distinct codeword, so a memo holds at most 75,024 entries, the
-number of codewords of 2 to 24 bits.
+Memory: the encoder packs its input in batches of _BATCH_VALUES (8192)
+values, so it holds one batch's codewords and the packed bytes, never a
+list or a '0'/'1' string of the whole stream; the values may come from
+a generator. resync_decode checks the header at once and returns a scan
+that yields its tokens one at a time, each time it is iterated, so only
+the payload and its unpacked bits are held, never a token per value.
+The strict decoder returns a list: it must fail before its caller sees
+any value.
+
+Small values dominate typical streams, so each call (each iteration of
+a resync scan) memoises codewords in a dict that lives only that long:
+the encoder builds each distinct value's codeword once, and the
+decoders evaluate each distinct word once. Only codewords of at most
+_MEMO_MAX_BITS (24) bits are kept; longer ones are rebuilt or
+re-evaluated every time. Each entry stands for a distinct codeword, so
+a memo holds at most 75,024 entries, the number of codewords of 2 to 24
+bits.
 """
 
 import struct
-from typing import Iterable, NamedTuple
+from collections.abc import Iterable, Iterator
+from itertools import islice
+from typing import NamedTuple
 
 from ghcodes.bits import value
 from ghcodes.fibcodec import fib_encode
@@ -54,6 +66,9 @@ CODEC_GH = 0x01
 _HEADER = struct.Struct("<4sBBhQQ")
 _A_MIN = -(2**15)  # the header stores a as a signed 16-bit field
 _MEMO_MAX_BITS = 24
+# values packed per batch: the codewords of one batch are joined and
+# packed, and the fewer than 8 bits left over go to the next one
+_BATCH_VALUES = 8192
 
 
 class HeaderError(ValueError):
@@ -112,23 +127,35 @@ def stream_encode(codec: str, a: int, values: Iterable[int]) -> bytes:
     else:
         raise ValueError(f"codec must be 'fib' or 'gh', got {codec!r}")
     memo: dict[int, str] = {}
-    words = []
-    for v in values:
-        code = memo.get(v)
-        if code is None:
-            if codec_byte == CODEC_FIB:
-                code = fib_encode(v)
-            else:
-                outcome = encode_fast(a, v)
-                if outcome is None:
-                    raise UnencodableValueError(v, a)
-                code = outcome.code
-            if len(code) <= _MEMO_MAX_BITS:
-                memo[v] = code
-        words.append(code)
-    bits = "".join(words)
-    header = _HEADER.pack(MAGIC, VERSION, codec_byte, a, len(words), len(bits))
-    return header + _pack_bits(bits)
+    payload = bytearray()
+    count = bit_length = 0
+    carry = ""
+    unread = iter(values)
+    while True:
+        words = []
+        for v in islice(unread, _BATCH_VALUES):
+            code = memo.get(v)
+            if code is None:
+                if codec_byte == CODEC_FIB:
+                    code = fib_encode(v)
+                else:
+                    outcome = encode_fast(a, v)
+                    if outcome is None:
+                        raise UnencodableValueError(v, a)
+                    code = outcome.code
+                if len(code) <= _MEMO_MAX_BITS:
+                    memo[v] = code
+            words.append(code)
+        if not words:
+            break
+        count += len(words)
+        bits = carry + "".join(words)
+        bit_length += len(bits) - len(carry)
+        whole = len(bits) - len(bits) % 8
+        payload += _pack_bits(bits[:whole])
+        carry = bits[whole:]
+    payload += _pack_bits(carry)
+    return _HEADER.pack(MAGIC, VERSION, codec_byte, a, count, bit_length) + payload
 
 
 def _parse_header(data: bytes) -> tuple[int, int, int, int, bytes]:
@@ -202,28 +229,41 @@ def stream_decode(data: bytes) -> list[int]:
     return values
 
 
-def resync_decode(data: bytes) -> list[ResyncToken]:
+class _ResyncScan:
+    """The tokens of one parsed payload, scanned anew on each iteration."""
+
+    def __init__(self, codec: int, a: int, bit_length: int, payload: bytes):
+        self._codec = codec
+        self._a = a
+        self._avail = min(bit_length, len(payload) * 8)
+        self._payload = payload
+
+    def __iter__(self) -> Iterator[ResyncToken]:
+        body = _unpack_bits(self._payload)[: self._avail]
+        word_values = _WordValues(self._codec, self._a)
+        cursor = 0
+        while cursor < self._avail:
+            end = body.find("11", cursor)
+            if end == -1:
+                yield ResyncToken("garbage", None, (cursor, self._avail))
+                return
+            after = end + 2
+            v = word_values[body[cursor : end + 1]]
+            if v >= 1:
+                yield ResyncToken("value", v, (cursor, after))
+            else:
+                yield ResyncToken("garbage", None, (cursor, after))
+            cursor = after
+
+
+def resync_decode(data: bytes) -> Iterable[ResyncToken]:
     """Tolerant scan: split at each closing pair, validate, never abort.
 
-    Returns contiguous tokens covering the payload. Spans that evaluate
-    to a positive integer come back as value tokens; anything else,
-    including an unterminated tail, comes back as garbage.
+    Checks the header now, raising HeaderError, and returns an iterable
+    of contiguous tokens covering the payload; each iteration scans the
+    payload again and yields the tokens one at a time. Spans that
+    evaluate to a positive integer come back as value tokens; anything
+    else, including an unterminated tail, comes back as garbage.
     """
     codec, a, _count, bit_length, payload = _parse_header(data)
-    avail = min(bit_length, len(payload) * 8)
-    body = _unpack_bits(payload)[:avail]
-    word_values = _WordValues(codec, a)
-    tokens: list[ResyncToken] = []
-    cursor = 0
-    while cursor < len(body):
-        end = body.find("11", cursor)
-        if end == -1:
-            tokens.append(ResyncToken("garbage", None, (cursor, len(body))))
-            break
-        v = word_values[body[cursor : end + 1]]
-        if v >= 1:
-            tokens.append(ResyncToken("value", v, (cursor, end + 2)))
-        else:
-            tokens.append(ResyncToken("garbage", None, (cursor, end + 2)))
-        cursor = end + 2
-    return tokens
+    return _ResyncScan(codec, a, bit_length, payload)

@@ -1,10 +1,12 @@
 import io
+import random
 
 import pytest
 
 from ghcodes import cli
 from ghcodes.cli import main
 from ghcodes.ghcodec import decode, exists
+from ghcodes.stream import stream_decode, stream_encode
 
 
 def run(capsys, *argv):
@@ -319,6 +321,64 @@ def test_stream_pack_reads_stdin(tmp_path, capsys, monkeypatch):
     assert piped.read_bytes() == listed.read_bytes()
     code, out, _ = run(capsys, "stream-unpack", str(piped))
     assert code == 0 and out == "".join(f"{v}\n" for v in values)
+
+
+def _pack_stdin(tmp_path, capsys, monkeypatch, text, *argv):
+    path = tmp_path / "piped.ghc"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "stream-pack", *argv, "--out", str(path))
+    return code, out, err, path
+
+
+# a value that straddles the first read's end: characters 65532..65540
+_STRADDLING = "7 " * (cli._STDIN_CHUNK // 2 - 2) + "123456789\n"
+
+
+@pytest.mark.parametrize("text", [
+    _STRADDLING,
+    "7 10\n1\t7\n\n123456789 1",  # no trailing newline
+    "7 10\r\n\r\n1\t7\r\n\t\n  123456789\t1\r\n",
+    "\n\n 7\n",
+])
+def test_stream_pack_stdin_matches_listed_values(tmp_path, capsys, monkeypatch, text):
+    values = text.split()
+    code, out, err, piped = _pack_stdin(tmp_path, capsys, monkeypatch, text, "--a", "-2")
+    assert (code, out, err) == (0, "", "")
+    listed = tmp_path / "listed.ghc"
+    run(capsys, "stream-pack", "--a", "-2", "--out", str(listed), *values)
+    assert piped.read_bytes() == listed.read_bytes()
+
+
+def test_stream_pack_stdin_tokens_across_many_reads(tmp_path, capsys, monkeypatch):
+    # tiny reads cut tokens anywhere, some across three or more reads
+    rng = random.Random(3)
+    monkeypatch.setattr(cli, "_STDIN_CHUNK", 3)
+    for _ in range(40):
+        values = [rng.choice((rng.randint(1, 9), rng.randint(1, 10**12))) for _ in range(30)]
+        gaps = [rng.choice((" ", "\n", "\t", "\r\n", "  \n\n")) for _ in values]
+        text = rng.choice(("", "\n ")) + "".join(f"{v}{g}" for v, g in zip(values, gaps))
+        code, _, _, path = _pack_stdin(tmp_path, capsys, monkeypatch, text.rstrip(), "--code", "fib")
+        assert code == 0
+        assert stream_decode(path.read_bytes()) == values
+
+
+def test_stream_pack_empty_stdin_is_header_only(tmp_path, capsys, monkeypatch):
+    code, out, err, path = _pack_stdin(tmp_path, capsys, monkeypatch, "", "--a", "-2")
+    assert (code, out, err) == (0, "", "")
+    assert path.read_bytes() == stream_encode("gh", -2, [])
+
+
+@pytest.mark.parametrize("text, argv, status, message", [
+    ("7 10 x 1\n", ("--a", "-2"), 2, "error: invalid literal for int() with base 10: 'x'\n"),
+    ("7 5 1\n", ("--a", "-5"), 1, "error: no code exists for value 5 at a=-5\n"),
+])
+def test_stream_pack_failure_keeps_existing_out_file(tmp_path, capsys, monkeypatch,
+                                                     text, argv, status, message):
+    path = tmp_path / "piped.ghc"
+    path.write_bytes(b"kept")
+    code, out, err, _ = _pack_stdin(tmp_path, capsys, monkeypatch, text, *argv)
+    assert (code, out, err) == (status, "", message)
+    assert path.read_bytes() == b"kept"
 
 
 def test_stream_pack_unencodable(tmp_path, capsys):

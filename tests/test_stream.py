@@ -1,11 +1,13 @@
 import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ghcodes.stream as stream
 from ghcodes.bits import value
+from ghcodes.cli import _gen_values
 from ghcodes.fibcodec import fib_encode
 from ghcodes.ghcodec import encode_fast
 from ghcodes.sequences import fib_sequence, gh_sequence
@@ -54,7 +56,7 @@ def test_empty_document():
     blob = stream_encode("gh", -2, [])
     assert len(blob) == HEADER_SIZE
     assert stream_decode(blob) == []
-    assert resync_decode(blob) == []
+    assert list(resync_decode(blob)) == []
 
 
 def test_known_bytes():
@@ -139,7 +141,7 @@ def test_flip_creating_interior_pair_is_rejected():
 def test_resync_matches_strict_decode_when_clean():
     values = [7, 10, 1, 99, 4]
     blob = stream_encode("gh", -2, values)
-    tokens = resync_decode(blob)
+    tokens = list(resync_decode(blob))
     assert [t.value for t in tokens] == values
     assert all(t.kind == "value" for t in tokens)
     assert tokens[0].bit_span[0] == 0
@@ -156,7 +158,7 @@ def test_single_flip_suffix_recovery():
     for _ in range(200):
         p = rng.randrange(total_bits)
         frame = next(i for i, (lo, hi) in enumerate(spans) if lo <= p < hi)
-        tokens = resync_decode(_flip(blob, p))
+        tokens = list(resync_decode(_flip(blob, p)))
         got = [t.value if t.kind == "value" else None for t in tokens]
         assert got[:frame] == values[:frame]
         tail = len(values) - (frame + 2)
@@ -169,7 +171,7 @@ def test_terminator_flip_merges_two_frames():
     values = [7, 10, 1, 99, 4, 250]
     blob = stream_encode("gh", -2, values)
     spans = _frame_spans(values, -2)
-    tokens = resync_decode(_flip(blob, spans[1][1] - 1))
+    tokens = list(resync_decode(_flip(blob, spans[1][1] - 1)))
     assert len(tokens) == len(values) - 1
     assert tokens[0].value == 7
     assert [t.value for t in tokens[-3:]] == values[3:]
@@ -182,9 +184,46 @@ def test_resync_reports_unterminated_tail_as_garbage():
     spans = _frame_spans(values, -2)
     # kill the final closing pair entirely
     broken = _flip(_flip(blob, spans[1][1] - 1), spans[1][1] - 2)
-    tokens = resync_decode(broken)
+    tokens = list(resync_decode(broken))
     assert tokens[-1].kind == "garbage"
     assert tokens[-1].bit_span[1] == spans[1][1]
+
+
+def test_resync_scan_iterates_again_with_equal_tokens():
+    values = [7, 10, 1, 99, 4, 250]
+    scan = resync_decode(_flip(stream_encode("gh", -2, values), 3))
+    first = list(scan)
+    assert len(first) > 1
+    assert list(scan) == first
+
+
+def test_resync_checks_the_header_at_the_call():
+    blob = stream_encode("gh", -2, [7, 10, 1])
+    with pytest.raises(HeaderError):
+        resync_decode(blob[:10])  # raised by the call itself: nothing is iterated
+    with pytest.raises(HeaderError):
+        resync_decode(b"NOPE" + blob[4:])
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_resync_scan_holds_no_token_per_value():
+    values = _gen_values("geometric:0.05", 50_000, 12345)
+    scan = resync_decode(stream_encode("gh", -2, values))
+
+    def walk():
+        for _ in scan:
+            pass
+
+    walked, listed = _traced_peak(walk), _traced_peak(lambda: list(scan))
+    assert 5 * walked <= listed
 
 
 @given(values=st.lists(st.integers(min_value=1, max_value=10**6), max_size=40))
@@ -230,6 +269,22 @@ def _document(codec_byte, a, count, bits):
 def _reference_encode(codec, a, values):
     bits = "".join(_reference_codeword(codec, a, v) for v in values)
     return _document(0 if codec == "fib" else 1, a, len(values), bits)
+
+
+# the encoder packs in batches of 8192 values: counts on both sides of one
+# and of two batch boundaries
+@pytest.mark.parametrize("count", [0, 1, 8191, 8192, 8193, 16387])
+@pytest.mark.parametrize("codec, a", [("fib", 0), ("gh", -2), ("gh", -7)])
+def test_batched_encode_equals_one_shot_reference(codec, a, count):
+    rng = random.Random(count)
+    values = []
+    while len(values) < count:
+        v = rng.choice((rng.randint(1, 40), rng.randint(1, 10**9)))
+        if codec == "fib" or encode_fast(a, v) is not None:
+            values.append(v)
+    expected = _reference_encode(codec, a, values)
+    assert stream_encode(codec, a, values) == expected
+    assert stream_encode(codec, a, iter(values)) == expected
 
 
 def _reference_spans(blob):
@@ -326,12 +381,12 @@ def test_memoised_decoders_equal_per_span_reference_under_bit_flips(key):
         values = [rng.choice(short if rng.random() < 0.8 else long) for _ in range(120)]
         blob = stream_encode(codec, a, values)
         assert stream_decode(blob) == values
-        assert resync_decode(blob) == _reference_resync(blob)
+        assert list(resync_decode(blob)) == _reference_resync(blob)
         payload_bits = int.from_bytes(blob[16:24], "little")
         damaged = blob
         for _ in range(rng.randint(1, 4)):
             damaged = _flip(damaged, rng.randrange(payload_bits))
-        assert resync_decode(damaged) == _reference_resync(damaged)
+        assert list(resync_decode(damaged)) == _reference_resync(damaged)
         assert _strict_outcome(damaged) == _reference_strict(damaged)
 
 
@@ -349,7 +404,7 @@ def test_repeated_non_positive_word_is_garbage_every_time():
     with pytest.raises(PayloadError, match="non-positive") as err:
         stream_decode(blob)
     assert err.value.bit_offset == 0
-    assert resync_decode(blob) == [
+    assert list(resync_decode(blob)) == [
         ResyncToken("garbage", None, (0, 2)),
         ResyncToken("value", 7, (2, 7)),
         ResyncToken("garbage", None, (7, 9)),
