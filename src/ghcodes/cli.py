@@ -2,18 +2,21 @@
 
 Subcommands: encode, decode, exists, table, gaps, bench, verify,
 stream-pack, stream-unpack. Exit status: 0 success, 1 no code exists or
-verification failed, 2 usage or malformed input, 3 gap bound violation.
+verification failed, 2 usage or malformed input, 3 gap bound violation,
+141 (128 + SIGPIPE) when the reader of stdout stops reading, as `| head`
+does; nothing is printed to stderr then.
 """
 
 import argparse
 import json
 import math
+import os
 import random
 import sys
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain, groupby, islice
 from typing import TextIO
 
 from ghcodes.fibcodec import fib_decode, fib_encode
@@ -37,6 +40,9 @@ _MAX_BENCH_COUNT = 10**7
 _MAX_VERIFY_N = 10**6
 # characters per read of stream-pack's stdin; reading line by line was slower
 _STDIN_CHUNK = 65536
+# output lines joined into one write; with PYTHONUNBUFFERED set, each
+# write is one system call
+_WRITE_LINES = 8192
 
 
 def _is_negative(tok: str) -> bool:
@@ -123,6 +129,14 @@ def _cmd_decode(args) -> int:
     return 0
 
 
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write each line and a newline to stdout, _WRITE_LINES lines per write."""
+    lines = iter(lines)
+    while batch := list(islice(lines, _WRITE_LINES)):
+        batch.append("")  # the newline after the last line
+        sys.stdout.write("\n".join(batch))
+
+
 def _expand_runs(
     runs: Iterable[tuple[int, int]], lo: int, hi: int, present: str, absent: str
 ) -> Iterator[str]:
@@ -145,9 +159,9 @@ def _cmd_exists(args) -> int:
     lo, hi = _parse_span(args.n, "n")
     if lo < 1:
         raise ValueError(f"n must be >= 1, got {lo}")
-    # a single n prints its verdict alone: "yes\n".format(n) is "yes\n"
-    formats = ("yes\n", "no\n") if lo == hi else ("{} yes\n", "{} no\n")
-    sys.stdout.writelines(_expand_runs(missing_runs(a, lo, hi), lo, hi, *formats))
+    # a single n prints its verdict alone: "yes".format(n) is "yes"
+    formats = ("yes", "no") if lo == hi else ("{} yes", "{} no")
+    _write_lines(_expand_runs(missing_runs(a, lo, hi), lo, hi, *formats))
     # the rows streamed from that walk; a second one stops at the first run
     return 0 if next(missing_runs(a, lo, hi), None) is None else 1
 
@@ -157,16 +171,17 @@ def _cmd_table(args) -> int:
     n_lo, n_hi = _parse_span(args.n, "--n")
     if n_lo < 1:
         raise ValueError(f"n must be >= 1, got {n_lo}")
-    if args.format == "csv":
-        print("a,n,code")
-    for a in range(a_lo, a_hi + 1):
-        for n in range(n_lo, n_hi + 1):
-            outcome = encode_fast(a, n)
-            code = outcome.code if outcome is not None else "-"
-            if args.format == "csv":
-                print(f"{a},{n},{code}")
-            else:
-                print(f"{a:>4} {n:>8} {code}")
+    row = "{},{},{}" if args.format == "csv" else "{:>4} {:>8} {}"
+
+    def lines() -> Iterator[str]:
+        if args.format == "csv":
+            yield "a,n,code"
+        for a in range(a_lo, a_hi + 1):
+            for n in range(n_lo, n_hi + 1):
+                outcome = encode_fast(a, n)
+                yield row.format(a, n, outcome.code if outcome is not None else "-")
+
+    _write_lines(lines())
     return 0
 
 
@@ -196,8 +211,8 @@ def _cmd_gaps(args) -> int:
         k = gh_sequence(a).gap_parameter
         max_run = max((length for _, length in runs), default=0)
         if args.format == "csv":
-            print("n,exists")
-            sys.stdout.writelines(_expand_runs(runs, 1, args.max_n, "{},true\n", "{},false\n"))
+            rows = _expand_runs(runs, 1, args.max_n, "{},true", "{},false")
+            _write_lines(chain(["n,exists"], rows))
         else:
             missing_count = sum(length for _, length in runs)
             print(json.dumps({"a": a, "k": k, "n_range": (1, args.max_n),
@@ -376,19 +391,19 @@ def _cmd_stream_pack(args) -> int:
 
 def _token_line(token) -> str:
     if token.kind == "value":
-        return f"{token.value}\n"
+        return str(token.value)
     lo, hi = token.bit_span
-    return f"# garbage bits [{lo}:{hi})\n"
+    return f"# garbage bits [{lo}:{hi})"
 
 
 def _cmd_stream_unpack(args) -> int:
     with open(args.file, "rb") as fh:
         blob = fh.read()
     if args.resync:
-        lines = map(_token_line, resync_decode(blob))
+        _write_lines(map(_token_line, resync_decode(blob)))
     else:
-        lines = (f"{v}\n" for v in stream_decode(blob))
-    sys.stdout.writelines(lines)
+        # stream_decode raises before it returns, so a bad file prints nothing
+        _write_lines(map(str, stream_decode(blob)))
     return 0
 
 
@@ -464,7 +479,15 @@ def main(argv: list[str] | None = None) -> int:
     raw = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(_merge_negative_values(raw))
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader went away: not bad input. Point stdout at the null
+        # device, so the flush at exit finds no pipe and reports nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,25 +21,33 @@ reports what it could not validate as garbage spans.
 Memory: the encoder packs its input in batches of _BATCH_VALUES (8192)
 values, so it holds one batch's codewords and the packed bytes, never a
 list or a '0'/'1' string of the whole stream; the values may come from
-a generator. resync_decode checks the header at once and returns a scan
-that yields its tokens one at a time, each time it is iterated, so only
-the payload and its unpacked bits are held, never a token per value.
-The strict decoder returns a list: it must fail before its caller sees
-any value.
+a generator. Both decoders frame the payload with one splitter that
+turns _CHUNK_BYTES (4096) bytes at a time into bits and splits them at
+each closing pair, carrying only the unfinished word into the next
+chunk. So a decoder holds the payload, one chunk's bits and words, and
+one word that runs past a chunk, never a string of the whole payload or
+a value per word. The strict decoder checks the whole payload in a
+first pass, so it fails before its caller sees any value; it then
+returns an iterable that decodes the values chunk by chunk.
+resync_decode checks the header at once and returns a scan that yields
+its tokens one at a time. Each iteration of either frames the payload
+anew.
 
-Small values dominate typical streams, so each call (each iteration of
-a resync scan) memoises codewords in a dict that lives only that long:
-the encoder builds each distinct value's codeword once, and the
-decoders evaluate each distinct word once. Only codewords of at most
-_MEMO_MAX_BITS (24) bits are kept; longer ones are rebuilt or
-re-evaluated every time. Each entry stands for a distinct codeword, so
-a memo holds at most 75,024 entries, the number of codewords of 2 to 24
-bits.
+Small values dominate typical streams, so each call, and each
+iteration of a decoder's result, memoises codewords in a dict that
+lives only that long: the encoder builds each distinct value's
+codeword once, and the decoders evaluate each distinct word once.
+Only codewords of at most _MEMO_MAX_BITS (24) bits are kept; longer
+ones are rebuilt or re-evaluated every time. Each entry stands for a
+distinct codeword, so a memo holds at most 75,024 entries, the number
+of codewords of 2 to 24 bits.
 """
 
 import struct
 from collections.abc import Iterable, Iterator
-from itertools import islice
+from functools import partial
+from itertools import accumulate, chain, islice, pairwise
+from operator import add
 from typing import NamedTuple
 
 from ghcodes.bits import value
@@ -69,6 +77,10 @@ _MEMO_MAX_BITS = 24
 # values packed per batch: the codewords of one batch are joined and
 # packed, and the fewer than 8 bits left over go to the next one
 _BATCH_VALUES = 8192
+# payload bytes the decoders turn into bits at a time
+_CHUNK_BYTES = 4096
+# every piece of at most 2 bits: a piece never ends in 1
+_SHORT_PIECES = ("", "0", "00", "10")
 
 
 class HeaderError(ValueError):
@@ -105,12 +117,6 @@ def _pack_bits(bits: str) -> bytes:
         return b""
     nbytes = (len(bits) + 7) // 8
     return (int(bits, 2) << (nbytes * 8 - len(bits))).to_bytes(nbytes, "big")
-
-
-def _unpack_bits(data: bytes) -> str:
-    if not data:
-        return ""
-    return bin(int.from_bytes(data, "big"))[2:].zfill(len(data) * 8)
 
 
 def stream_encode(codec: str, a: int, values: Iterable[int]) -> bytes:
@@ -158,7 +164,7 @@ def stream_encode(codec: str, a: int, values: Iterable[int]) -> bytes:
     return _HEADER.pack(MAGIC, VERSION, codec_byte, a, count, bit_length) + payload
 
 
-def _parse_header(data: bytes) -> tuple[int, int, int, int, bytes]:
+def _parse_header(data: bytes) -> tuple[int, int, int, int, memoryview]:
     if len(data) < _HEADER.size:
         raise HeaderError(f"stream shorter than the {_HEADER.size}-byte header")
     magic, version, codec, a, count, bit_length = _HEADER.unpack_from(data)
@@ -172,13 +178,14 @@ def _parse_header(data: bytes) -> tuple[int, int, int, int, bytes]:
         raise HeaderError(f"a must be 0 for the fib codec, got {a}")
     if codec == CODEC_GH and a > -2:
         raise HeaderError(f"parameter a must be <= -2, got {a}")
-    return codec, a, count, bit_length, data[_HEADER.size :]
+    # a view, so the payload is not copied
+    return codec, a, count, bit_length, memoryview(data)[_HEADER.size :]
 
 
 class _WordValues(dict):
-    """word -> value for one decode call, under the codec a header names.
+    """piece -> value for one decode pass, under the codec a header names.
 
-    A word is a codeword without its closing 1. A missing word is
+    A piece is a codeword without its closing pair. A missing piece is
     evaluated on lookup and kept when its codeword is at most
     _MEMO_MAX_BITS long. Callers check the value on every lookup, so a
     non-positive word is rejected on a memo hit too.
@@ -188,19 +195,56 @@ class _WordValues(dict):
         super().__init__()
         self.seq = fib_sequence() if codec == CODEC_FIB else gh_sequence(a)
 
-    def __missing__(self, word: str) -> int:
-        v = value(self.seq, word)
-        if len(word) < _MEMO_MAX_BITS:  # the closing 1 makes the codeword one bit longer
-            self[word] = v
+    def __missing__(self, piece: str) -> int:
+        v = value(self.seq, piece + "1")
+        if len(piece) + 2 <= _MEMO_MAX_BITS:
+            self[piece] = v
         return v
 
 
-def stream_decode(data: bytes) -> list[int]:
-    """Parse exactly the declared count of codewords, or raise.
+def _frames(payload: memoryview, avail: int) -> Iterator[tuple[int, list[str]]]:
+    """The complete pieces in the first avail bits of a payload, chunk by chunk.
+
+    A piece runs from the start of a word to the next 11 pair, the first
+    one str.find("11") would meet, so a run of three ones closes its
+    word at the first two. Per chunk of _CHUNK_BYTES bytes that
+    completes a piece, yields the bit offset of its first piece and its
+    pieces in order. The unfinished last piece is carried into the next
+    chunk as a list of parts, joined once when the piece closes, so the
+    time stays linear in avail however long a piece runs. An
+    unterminated tail is never yielded: it starts where the last piece
+    yielded ends.
+    """
+    size = _CHUNK_BYTES  # read per call, so a test can put boundaries anywhere
+    nbytes = (avail + 7) // 8
+    held: list[str] = []  # parts of the unfinished piece, less a final 1
+    lead = ""  # that final 1, which may open a pair with the next chunk
+    start = 0  # bit offset of the unfinished piece
+    for first in range(0, nbytes, size):
+        block = payload[first : min(first + size, nbytes)]
+        # the extra top bit keeps the leading zeros, so no zfill copy is made
+        bits = bin(int.from_bytes(block, "big") | 1 << 8 * len(block))[3:]
+        end = min(8 * (first + len(block)), avail)
+        parts = (lead + bits[: end - 8 * first]).split("11")
+        tail = parts.pop()
+        lead = tail[-1:] if tail.endswith("1") else ""
+        if parts:
+            held.append(parts[0])
+            parts[0] = "".join(held)
+            yield start, parts
+            held = []
+            start = end - len(tail)
+        held.append(tail[: len(tail) - len(lead)])
+
+
+def stream_decode(data: bytes) -> Iterable[int]:
+    """Check that the payload parses into exactly the declared count, or raise.
 
     PayloadError covers truncation, a codeword without its closing pair,
     a codeword evaluating to a non-positive integer, leftover bits past
-    the declared count, and nonzero padding.
+    the declared count, and nonzero padding; it is raised by the call,
+    before any value is seen. Returns an iterable of the values that
+    decodes the payload anew, chunk by chunk, each time it is iterated.
     """
     codec, a, count, bit_length, payload = _parse_header(data)
     expected_bytes = (bit_length + 7) // 8
@@ -208,52 +252,71 @@ def stream_decode(data: bytes) -> list[int]:
         raise PayloadError("payload truncated", len(payload) * 8)
     if len(payload) > expected_bytes:
         raise PayloadError("trailing bytes after the payload", bit_length)
-    bits = _unpack_bits(payload)
-    body, padding = bits[:bit_length], bits[bit_length:]
     word_values = _WordValues(codec, a)
-    values: list[int] = []
-    cursor = 0
-    for _ in range(count):
-        end = body.find("11", cursor)
-        if end == -1:
-            raise PayloadError("codeword truncated before its closing pair", cursor)
-        v = word_values[body[cursor : end + 1]]
-        if v < 1:
-            raise PayloadError(f"codeword decodes to non-positive value {v}", cursor)
-        values.append(v)
-        cursor = end + 2
+    left, cursor = count, 0
+    for start, pieces in _frames(payload, bit_length):
+        words = pieces[:left]
+        # a piece never ends in 1, and only the gh pieces "" and "10"
+        # (words a and a + 1) are non-positive, so the short ones decide
+        bad = [words.index(p) for p in _SHORT_PIECES if p in words and word_values[p] < 1]
+        if bad:
+            i = min(bad)
+            lo = start + sum(map(len, words[:i])) + 2 * i
+            raise PayloadError(f"codeword decodes to non-positive value {word_values[words[i]]}", lo)
+        cursor = start + sum(map(len, words)) + 2 * len(words)
+        left -= len(words)
+        if not left:
+            break
+    if left:
+        raise PayloadError("codeword truncated before its closing pair", cursor)
     if cursor != bit_length:
         raise PayloadError("payload continues past the declared count", cursor)
-    if "1" in padding:
-        raise PayloadError("padding bits must be zero", bit_length + padding.index("1"))
-    return values
+    unused = 8 * expected_bytes - bit_length
+    padding = payload[-1] & ((1 << unused) - 1) if unused else 0
+    if padding:
+        raise PayloadError("padding bits must be zero", 8 * expected_bytes - padding.bit_length())
+    return _Values(codec, a, bit_length, payload)
 
 
-class _ResyncScan:
-    """The tokens of one parsed payload, scanned anew on each iteration."""
+class _Payload:
+    """The payload bits a header declares, as far as the payload holds them."""
 
-    def __init__(self, codec: int, a: int, bit_length: int, payload: bytes):
+    def __init__(self, codec: int, a: int, bit_length: int, payload: memoryview):
         self._codec = codec
         self._a = a
         self._avail = min(bit_length, len(payload) * 8)
         self._payload = payload
 
+
+class _Values(_Payload):
+    """The values of one checked payload, decoded anew on each iteration."""
+
+    def __iter__(self) -> Iterator[int]:
+        word_values = _WordValues(self._codec, self._a)
+        # chained in C: no Python frame resumes per value
+        return chain.from_iterable(
+            map(word_values.__getitem__, pieces)
+            for _, pieces in _frames(self._payload, self._avail)
+        )
+
+
+class _ResyncScan(_Payload):
+    """The tokens of one parsed payload, scanned anew on each iteration."""
+
     def __iter__(self) -> Iterator[ResyncToken]:
-        body = _unpack_bits(self._payload)[: self._avail]
         word_values = _WordValues(self._codec, self._a)
         cursor = 0
-        while cursor < self._avail:
-            end = body.find("11", cursor)
-            if end == -1:
-                yield ResyncToken("garbage", None, (cursor, self._avail))
-                return
-            after = end + 2
-            v = word_values[body[cursor : end + 1]]
-            if v >= 1:
-                yield ResyncToken("value", v, (cursor, after))
-            else:
-                yield ResyncToken("garbage", None, (cursor, after))
-            cursor = after
+        for start, pieces in _frames(self._payload, self._avail):
+            # each piece spans its own bits and its closing pair
+            spans = pairwise(accumulate(map(partial(add, 2), map(len, pieces)), initial=start))
+            for span, v in zip(spans, map(word_values.__getitem__, pieces)):
+                if v >= 1:
+                    yield ResyncToken("value", v, span)
+                else:
+                    yield ResyncToken("garbage", None, span)
+            cursor = span[1]
+        if cursor < self._avail:
+            yield ResyncToken("garbage", None, (cursor, self._avail))
 
 
 def resync_decode(data: bytes) -> Iterable[ResyncToken]:

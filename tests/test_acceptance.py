@@ -211,7 +211,7 @@ def test_c09_stream_round_trip_and_resync():
         ("gh", -7, gh7_values),
     ):
         blob = stream_encode(codec, a, values)
-        if stream_decode(blob) != values:
+        if list(stream_decode(blob)) != values:
             ok, detail = False, f"round trip failed for {codec} a={a}"
         if stream_encode(codec, a, values) != blob:
             ok, detail = False, f"bytes not reproducible for {codec} a={a}"

@@ -1,8 +1,13 @@
 import io
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ghcodes
 from ghcodes import cli
 from ghcodes.cli import main
 from ghcodes.ghcodec import decode, exists
@@ -359,7 +364,7 @@ def test_stream_pack_stdin_tokens_across_many_reads(tmp_path, capsys, monkeypatc
         text = rng.choice(("", "\n ")) + "".join(f"{v}{g}" for v, g in zip(values, gaps))
         code, _, _, path = _pack_stdin(tmp_path, capsys, monkeypatch, text.rstrip(), "--code", "fib")
         assert code == 0
-        assert stream_decode(path.read_bytes()) == values
+        assert list(stream_decode(path.read_bytes())) == values
 
 
 def test_stream_pack_empty_stdin_is_header_only(tmp_path, capsys, monkeypatch):
@@ -437,3 +442,43 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+class _CountingStdout(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_stream_unpack_joins_its_lines_into_few_writes(tmp_path, monkeypatch):
+    values = list(range(1, 20_001))
+    path = tmp_path / "doc.ghc"
+    path.write_bytes(stream_encode("gh", -2, values))
+    for argv in (["stream-unpack", str(path)], ["stream-unpack", "--resync", str(path)]):
+        out = _CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(argv) == 0
+        assert out.getvalue() == "".join(f"{v}\n" for v in values)
+        assert out.writes <= 4
+
+
+# more output than a pipe buffers, so the writer meets the closed pipe
+@pytest.mark.parametrize("argv", [
+    ["stream-unpack", "{doc}"],
+    ["gaps", "--a", "-7", "--max-n", "1000000", "--format", "csv"],
+])
+def test_closed_pipe_exits_141_with_nothing_on_stderr(tmp_path, argv):
+    doc = tmp_path / "doc.ghc"
+    doc.write_bytes(stream_encode("gh", -2, [1000] * 300_000))
+    src = str(Path(ghcodes.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = [arg.format(doc=doc) for arg in argv]
+    with subprocess.Popen([sys.executable, "-m", "ghcodes.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline()  # the first line, as `| head -1` reads it
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -1,6 +1,8 @@
 import random
 import struct
+import time
 import tracemalloc
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,7 +57,7 @@ def test_single_fib_value_layout():
 def test_empty_document():
     blob = stream_encode("gh", -2, [])
     assert len(blob) == HEADER_SIZE
-    assert stream_decode(blob) == []
+    assert list(stream_decode(blob)) == []
     assert list(resync_decode(blob)) == []
 
 
@@ -83,7 +85,7 @@ def test_rejects_bad_arguments():
 
 def test_round_trip_example():
     blob = stream_encode("gh", -2, [7, 10, 1])
-    assert stream_decode(blob) == [7, 10, 1]
+    assert list(stream_decode(blob)) == [7, 10, 1]
     assert int.from_bytes(blob[16:24], "little") == len("01011" + "0010011" + "0011")
 
 
@@ -229,13 +231,13 @@ def test_resync_scan_holds_no_token_per_value():
 @given(values=st.lists(st.integers(min_value=1, max_value=10**6), max_size=40))
 @settings(max_examples=50)
 def test_fib_round_trip_property(values):
-    assert stream_decode(stream_encode("fib", 0, values)) == values
+    assert list(stream_decode(stream_encode("fib", 0, values))) == values
 
 
 @given(values=st.lists(st.integers(min_value=1, max_value=10**5), max_size=40))
 @settings(max_examples=50)
 def test_gh_round_trip_property(values):
-    assert stream_decode(stream_encode("gh", -3, values)) == values
+    assert list(stream_decode(stream_encode("gh", -3, values))) == values
 
 
 def test_a_outside_header_field_rejected_before_encoding():
@@ -250,7 +252,7 @@ def test_a_outside_header_field_rejected_before_encoding():
 def test_a_at_header_field_minimum_round_trips():
     blob = stream_encode("gh", -32768, [1, 4])
     assert int.from_bytes(blob[6:8], "little", signed=True) == -32768
-    assert stream_decode(blob) == [1, 4]
+    assert list(stream_decode(blob)) == [1, 4]
 
 
 # Unmemoised references: one codeword build per value, one bits.value
@@ -316,6 +318,11 @@ def _reference_resync(blob):
 def _reference_strict(blob):
     """The decoded values, or the bit offset stream_decode must fail at."""
     count, bit_length, spans = _reference_spans(blob)
+    payload = blob[HEADER_SIZE:]
+    if len(payload) < (bit_length + 7) // 8:
+        return 8 * len(payload)
+    if len(payload) > (bit_length + 7) // 8:
+        return bit_length
     for lo, _, v in spans[:count]:
         if v is None or v < 1:
             return lo
@@ -323,12 +330,15 @@ def _reference_strict(blob):
         return bit_length
     if len(spans) > count:
         return spans[count][0]
+    padding = "".join(f"{byte:08b}" for byte in payload)[bit_length:]
+    if "1" in padding:
+        return bit_length + padding.index("1")
     return [v for _, _, v in spans]
 
 
 def _strict_outcome(blob):
     try:
-        return stream_decode(blob)
+        return list(stream_decode(blob))
     except PayloadError as err:
         return err.bit_offset
 
@@ -358,7 +368,7 @@ def test_memo_keeps_short_words_and_rebuilds_long_ones(monkeypatch):
     values = [75024, 75025, 75024, 75025, 75024]  # 24- and 25-bit codewords
     blob = stream_encode("fib", 0, values)
     assert built == [75024, 75025, 75025]
-    assert stream_decode(blob) == values
+    assert list(stream_decode(blob)) == values
     assert [t.value for t in resync_decode(blob)] == values
     assert [len(w) + 1 for w in evaluated] == [24, 25, 25] * 2
 
@@ -380,7 +390,7 @@ def test_memoised_decoders_equal_per_span_reference_under_bit_flips(key):
     for _ in range(40):
         values = [rng.choice(short if rng.random() < 0.8 else long) for _ in range(120)]
         blob = stream_encode(codec, a, values)
-        assert stream_decode(blob) == values
+        assert list(stream_decode(blob)) == values
         assert list(resync_decode(blob)) == _reference_resync(blob)
         payload_bits = int.from_bytes(blob[16:24], "little")
         damaged = blob
@@ -468,7 +478,7 @@ def _decode_or_error(decoder, blob):
 @settings(max_examples=300, deadline=None)
 def test_decoders_raise_only_documented_errors_under_mutation(data):
     blob = data.draw(_small_blobs())
-    strict = stream_decode(blob)
+    strict = list(stream_decode(blob))
     clean = resync_decode(blob)
     assert [t.value for t in clean] == strict
     assert all(t.kind == "value" for t in clean)
@@ -481,3 +491,109 @@ def test_decoders_raise_only_documented_errors_under_mutation(data):
     ends = [0] + [t.bit_span[1] for t in tokens]
     assert [t.bit_span[0] for t in tokens] == ends[:-1]
     assert ends[-1] == covered
+
+
+# The chunked framer, with chunks of 1 to 3 bytes so that every feature
+# below meets a chunk boundary somewhere
+
+def _padded_document(codec_byte, a, count, bits, padding):
+    """A document whose final byte carries padding in its unused low bits."""
+    blob = bytearray(_document(codec_byte, a, count, bits))
+    if len(bits) % 8:
+        blob[-1] |= padding & (0xFF >> len(bits) % 8)
+    return bytes(blob)
+
+
+def _closed_words(codec_byte, a, bits):
+    """How many words in bits end with their closing pair."""
+    _, _, spans = _reference_spans(_document(codec_byte, a, 0, bits))
+    return sum(v is not None for _, _, v in spans)
+
+
+def _boundary_cases(width):
+    """Payload bits that put each framing hazard at the boundary at bit width."""
+    return [
+        "0" * (width - 1) + "11" + "011",  # a closing pair split by the boundary
+        "0" * (width - 2) + "111" + "0011",  # 111 across it: the pair ends the chunk
+        "0" * (width - 1) + "111" + "011",  # 111 across it: the pair opens the next
+        "0" * (3 * width) + "11",  # one word over more than 3 chunks
+        "0" * (width - 2) + "11" + "11" + "011",  # gh word "1" (a) first in a chunk
+        "0" * (width - 6) + "11" + "1011" + "011",  # gh word "101" (a + 1) last in it
+        "11" + "0" * (width - 8) + "11" + "1011",  # the same two words first and last
+        "0" * (width - 2) + "11" + "0101",  # an open tail across the boundary
+        "011" * width,  # many short words, so a count can end mid-chunk
+    ]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("codec_byte, a", [(0, 0), (1, -2), (1, -7)])
+def test_framer_matches_the_reference_at_chunk_boundaries(monkeypatch, chunk, codec_byte, a):
+    monkeypatch.setattr(stream, "_CHUNK_BYTES", chunk)
+    for bits in _boundary_cases(8 * chunk):
+        words = _closed_words(codec_byte, a, bits)
+        for count in {0, 1, words // 2, words - 1, words, words + 1}:
+            for padding in (0, 0xFF, 0x01):
+                blob = _padded_document(codec_byte, a, count, bits, padding)
+                assert _strict_outcome(blob) == _reference_strict(blob), (bits, count)
+                assert list(resync_decode(blob)) == _reference_resync(blob), bits
+
+
+_FRAGMENTS = ["0", "00", "1", "11", "111", "1111", "1011", "0" * 13, "01" * 9]
+
+
+@given(
+    chunk=st.sampled_from([1, 2, 3]),
+    key=st.sampled_from([(0, 0), (1, -2), (1, -7)]),
+    bits=st.lists(st.sampled_from(_FRAGMENTS), max_size=30).map("".join),
+    count_shift=st.integers(-2, 2),
+    padding=st.integers(0, 255),
+    cut=st.integers(0, 2),
+)
+@settings(max_examples=300, deadline=None)
+def test_framer_matches_the_reference_on_random_payloads(chunk, key, bits, count_shift,
+                                                          padding, cut):
+    codec_byte, a = key
+    count = max(0, _closed_words(codec_byte, a, bits) + count_shift)
+    blob = _padded_document(codec_byte, a, count, bits, padding)
+    blob = blob[: len(blob) - min(cut, len(blob) - HEADER_SIZE)]
+    with patch.object(stream, "_CHUNK_BYTES", chunk):
+        assert _strict_outcome(blob) == _reference_strict(blob)
+        assert list(resync_decode(blob)) == _reference_resync(blob)
+
+
+def test_strict_errors_come_from_the_call_and_values_from_each_iteration():
+    blob = stream_encode("gh", -2, [7, 10, 1])
+    decoded = stream_decode(blob)
+    assert list(decoded) == list(decoded) == [7, 10, 1]
+    with pytest.raises(PayloadError):
+        stream_decode(_flip(blob, 2))  # nothing iterated
+
+
+# a payload with no closing pair at all: a framer that joined its carry
+# anew on every chunk would take time quadratic in the payload
+def test_framing_a_pairless_payload_takes_linear_time(monkeypatch):
+    monkeypatch.setattr(stream, "_CHUNK_BYTES", 64)
+    size = 2**20
+    blob = _document(0, 0, 1, "10" * 4 * size)
+    assert blob[HEADER_SIZE:] == b"\xaa" * size
+    start = time.perf_counter()
+    with pytest.raises(PayloadError, match="truncated before its closing pair") as err:
+        stream_decode(blob)
+    assert err.value.bit_offset == 0
+    assert time.perf_counter() - start < 2
+    start = time.perf_counter()
+    assert list(resync_decode(blob)) == [ResyncToken("garbage", None, (0, 8 * size))]
+    assert time.perf_counter() - start < 2
+
+
+def test_strict_decode_holds_no_value_per_word():
+    def decode_peak(count):
+        blob = stream_encode("gh", -2, _gen_values("geometric:0.05", count, 12345))
+
+        def walk():
+            for _ in stream_decode(blob):
+                pass
+
+        return _traced_peak(walk)
+
+    assert decode_peak(500_000) <= 1.5 * decode_peak(50_000)
