@@ -13,8 +13,8 @@ with, settles existence either way.
 
 from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from ghcodes.bits import (
     from_codeword,
@@ -48,8 +48,7 @@ class NonPositiveValueError(ValueError):
         self.code = code
 
 
-@dataclass(frozen=True)
-class RemainderTable:
+class RemainderTable(NamedTuple):
     """Five-bit covers for remainders below term(6), plus the uncovered runs.
 
     entries maps a remainder to the bits over indices 1..5 whose terms
@@ -62,8 +61,7 @@ class RemainderTable:
     gap_intervals: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class EncodeOutcome:
+class EncodeOutcome(NamedTuple):
     """One successful encoding, with the split that produced it."""
 
     code: str

@@ -1,8 +1,10 @@
+import contextlib
 import io
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -241,7 +243,8 @@ def test_gaps_rejects_unknown_mode(capsys, monkeypatch):
 
 
 def test_verify_max_n_cap_exits_before_checking(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "oracle_exists", lambda *args, **kw: pytest.fail("checked"))
+    for name in ("range_exists", "encode_simple", "encode_fast"):
+        monkeypatch.setattr(cli, name, lambda *args, **kw: pytest.fail("checked"))
     code, out, err = run(capsys, "verify", "--a", "-7", "--max-n", str(10**6 + 1))
     assert (code, out) == (2, "")
     assert err == "error: --max-n must be <= 1000000, got 1000001\n"
@@ -295,6 +298,30 @@ def test_bench_bad_dist_names_spec(capsys, dist):
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--a", "-7", "--max-n", "300")
     assert code == 0 and "pass" in out
+
+
+def test_verify_reports_an_oracle_disagreement(capsys, monkeypatch):
+    # n = 5 has no code at a = -7; an oracle that says it has one must fail verify
+    real = cli.range_exists
+    monkeypatch.setattr(cli, "range_exists", lambda a, n_max: real(a, n_max) | (1 << 4))
+    code, out, err = run(capsys, "verify", "--a", "-7", "--max-n", "40")
+    assert code == 1
+    assert err == "n=5: simple=False fast=False oracle=True\n"
+    assert out == (
+        "verify a=-7 n=1..40: FAIL (encodable 29, missing 11, disagreements 1)\n"
+    )
+
+
+def test_verify_memory_stays_flat():
+    # the verdicts are one 40,000-bit int, not a memo that grows with --max-n
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "--a", "-7", "--max-n", "40000"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_verify_universal_has_no_missing(capsys):

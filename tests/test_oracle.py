@@ -1,4 +1,5 @@
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -6,7 +7,14 @@ import pytest
 from ghcodes import oracle
 from ghcodes.cli import gap_scan, main
 from ghcodes.ghcodec import encode_fast, exists, missing_runs
-from ghcodes.oracle import SearchLimitError, _SubsetSearcher, all_codes, oracle_exists
+from ghcodes.oracle import (
+    SearchLimitError,
+    _search_bound,
+    _SubsetSearcher,
+    all_codes,
+    oracle_exists,
+    range_exists,
+)
 from ghcodes.sequences import GHSequence
 
 
@@ -40,6 +48,60 @@ def test_rejects_bad_arguments():
         oracle_exists(-2, 0)
     with pytest.raises(ValueError):
         oracle_exists(-1, 5)
+    with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
+        range_exists(-2, 0)
+    with pytest.raises(ValueError):
+        range_exists(-1, 5)
+
+
+def _verdicts(a, n_max):
+    # character n - 1 is "1" iff n has a code, read in one pass
+    return format(range_exists(a, n_max), "b").zfill(n_max)[::-1]
+
+
+def test_range_oracle_equals_per_n_oracle():
+    for a in range(-20, -1):
+        bits = range_exists(a, 3000)
+        assert _verdicts(a, 3000) == "".join(
+            "1" if oracle_exists(a, n) else "0" for n in range(1, 3001)
+        ), a
+        # a shorter range is the same verdicts, cut: the mask holds at every size
+        for n_max in range(1, 13):
+            assert range_exists(a, n_max) == bits & ((1 << n_max) - 1), (a, n_max)
+
+
+def test_range_oracle_agrees_on_sampled_large_n():
+    rng = random.Random(20200401)
+    for a in (-5, -7, -12):
+        verdicts = _verdicts(a, 10**6)
+        for n in rng.sample(range(1, 10**6 + 1), 200):
+            assert (verdicts[n - 1] == "1") == oracle_exists(a, n), (a, n)
+
+
+def test_range_oracle_runs_equal_the_walker_to_a_million():
+    for a in (-5, -7, -12):
+        assert gap_scan(a, 10**6, "oracle") == tuple(missing_runs(a, 1, 10**6)), a
+
+
+def test_range_oracle_rejects_a_hostile_n_max_before_it_grows(monkeypatch):
+    for max_index, n_max in ((7, 10**7), (20, 10**7), (64, 10**4000)):
+        monkeypatch.setattr(oracle, "DEFAULT_MAX_INDEX", max_index)
+        # the per-n oracle stops at the same bound
+        with pytest.raises(SearchLimitError):
+            oracle_exists(-7, n_max)
+        seq = GHSequence(-7)  # private, so other tests cannot grow it
+        monkeypatch.setattr(oracle, "gh_sequence", lambda a: seq)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchLimitError, match=f"exceeds cap {max_index} for a=-7"):
+                range_exists(-7, n_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a bitset of 10**7 bits alone would take 1.2 MiB
+        assert peak < 2**16, (max_index, peak)
+        assert len(seq._terms) - 1 <= max_index + 1
+        monkeypatch.undo()
 
 
 def _expand(runs):
@@ -126,7 +188,8 @@ def test_search_bound_slack_does_not_change_verdicts():
     for a in (-2, -7, -12, -20):
         searcher = _SubsetSearcher(a)
         for n in range(1, 200, 7):
-            assert searcher._reachable(searcher.bound(n) + 3, n) == oracle_exists(a, n)
+            bound = _search_bound(searcher.seq, n)
+            assert searcher._reachable(bound + 3, n) == oracle_exists(a, n)
 
 
 def test_search_cap(monkeypatch):
@@ -151,17 +214,16 @@ def _bound_by_loop(seq, n, max_index):
     return i
 
 
-def _bound_outcome(searcher, n):
+def _bound_outcome(seq, n):
     try:
-        return searcher.bound(n)
+        return _search_bound(seq, n)
     except SearchLimitError:
         return None
 
 
 def test_search_bound_equals_linear_walk(monkeypatch):
     for a in (-2, -7, -1000):
-        searcher = _SubsetSearcher(a)
-        seq = searcher.seq
+        seq = GHSequence(a)
         for max_index in range(7, 21):
             monkeypatch.setattr(oracle, "DEFAULT_MAX_INDEX", max_index)
             # every bound change up to two indices past the cap, and its neighbours
@@ -170,17 +232,16 @@ def test_search_bound_equals_linear_walk(monkeypatch):
                 edge = seq.term(j) + seq.term(1)
                 ns.update(m for m in (edge - 1, edge, edge + 1) if m >= 1)
             for n in sorted(ns):
-                assert _bound_outcome(searcher, n) == _bound_by_loop(seq, n, max_index)
+                assert _bound_outcome(seq, n) == _bound_by_loop(seq, n, max_index)
 
 
 def test_search_bound_does_not_grow_the_sequence_for_hostile_n(monkeypatch):
     for max_index in (7, 20, 64):
         monkeypatch.setattr(oracle, "DEFAULT_MAX_INDEX", max_index)
-        searcher = _SubsetSearcher(-7)
-        searcher.seq = GHSequence(-7)  # private, so other tests cannot grow it
+        seq = GHSequence(-7)  # private, so other tests cannot grow it
         with pytest.raises(SearchLimitError):
-            searcher.bound(10**4000)
-        assert len(searcher.seq._terms) - 1 <= max_index + 1
+            _search_bound(seq, 10**4000)
+        assert len(seq._terms) - 1 <= max_index + 1
 
 
 def test_csv_and_summary_rendering(capsys):
