@@ -15,7 +15,7 @@ import random
 import re
 import sys
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, islice
 from typing import NamedTuple, TextIO
 
@@ -188,8 +188,12 @@ def _cmd_table(args) -> int:
 
 
 def _oracle_verdicts(a: int, n_max: int) -> str:
-    """Character n - 1 is "1" iff n in 1..n_max has a code, by the range oracle."""
-    return format(range_exists(a, n_max), "b").zfill(n_max)[::-1]
+    """Character n_max + 1 - n is "1" iff n in 1..n_max has a code, by the range oracle.
+
+    Character 0 is a "1" put above the top verdict, so that format keeps
+    the leading "0"s; the verdicts read from the end, n = 1 last.
+    """
+    return format(range_exists(a, n_max) | 1 << n_max, "b")
 
 
 def gap_scan(a: int, n_max: int, mode: str) -> tuple[tuple[int, int], ...]:
@@ -202,7 +206,8 @@ def gap_scan(a: int, n_max: int, mode: str) -> tuple[tuple[int, int], ...]:
     if mode == "fast":
         return tuple(missing_runs(a, 1, n_max))
     runs = re.finditer("0+", _oracle_verdicts(a, n_max))
-    return tuple((m.start() + 1, len(m[0])) for m in runs)
+    # a run of "0"s ending before character e starts at n = n_max + 2 - e
+    return tuple((n_max + 2 - m.end(), m.end() - m.start()) for m in runs)[::-1]
 
 
 def _cmd_gaps(args) -> int:
@@ -274,19 +279,28 @@ def _gen_values(dist: str, count: int, seed: int) -> list[int]:
     return [int(math.log(1.0 - rng.random()) / scale) + 1 for _ in range(count)]
 
 
-def _bench_one(spec: str, values: list[int]) -> BenchResult:
+def _bench_encoder(spec: str) -> Callable[[int], str | None]:
+    """The encoder a --codes spec names; it returns None for a value with no code."""
     if spec == "fib":
-        def encode_one(v: int) -> str | None:
-            return fib_encode(v)
-    elif spec.startswith("gh:"):
+        return fib_encode
+    try:
+        if not spec.startswith("gh:"):
+            raise ValueError
         a = int(spec[3:])
-        gh_sequence(a)
+    except ValueError:
+        raise ValueError(f"codec spec must be 'fib' or 'gh:A', got {spec!r}") from None
+    gh_sequence(a)  # validates a <= -2
 
-        def encode_one(v: int) -> str | None:
-            outcome = encode_fast(a, v)
-            return outcome.code if outcome is not None else None
-    else:
-        raise ValueError(f"codec spec must be 'fib' or 'gh:A', got {spec!r}")
+    def encode_one(v: int) -> str | None:
+        outcome = encode_fast(a, v)
+        return outcome.code if outcome is not None else None
+
+    return encode_one
+
+
+def _bench_one(
+    spec: str, encode_one: Callable[[int], str | None], values: list[int]
+) -> BenchResult:
     start = time.perf_counter()
     total_bits = 0
     skipped = 0
@@ -305,10 +319,13 @@ def _cmd_bench(args) -> int:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     if args.count > _MAX_BENCH_COUNT:
         raise ValueError(f"--count must be <= {_MAX_BENCH_COUNT}, got {args.count}")
-    values = _gen_values(args.dist, args.count, args.seed)
-    results = [_bench_one(spec.strip(), values) for spec in args.codes.split(",") if spec.strip()]
-    if not results:
+    # every spec is checked before any value is drawn
+    specs = filter(None, map(str.strip, args.codes.split(",")))
+    encoders = [(spec, _bench_encoder(spec)) for spec in specs]
+    if not encoders:
         raise ValueError("--codes selected no codecs")
+    values = _gen_values(args.dist, args.count, args.seed)
+    results = [_bench_one(spec, encode_one, values) for spec, encode_one in encoders]
     if args.format == "csv":
         # no timing column so identical flags and seed give identical bytes
         print("codec,count,encoded,skipped,total_bits,bits_per_value")
@@ -330,7 +347,8 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--max-n must be <= {_MAX_VERIFY_N}, got {args.max_n}")
     problems: list[str] = []
     encodable = 0
-    for n, verdict in enumerate(_oracle_verdicts(a, args.max_n), 1):
+    verdicts = islice(reversed(_oracle_verdicts(a, args.max_n)), args.max_n)
+    for n, verdict in enumerate(verdicts, 1):
         simple = encode_simple(a, n)
         fast = encode_fast(a, n)
         ground = verdict == "1"

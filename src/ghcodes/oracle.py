@@ -5,21 +5,20 @@ adjacent, exactly the space of candidate Zeckendorf representations.
 They share only the sequence cache with the encoder, so agreement
 between the two is meaningful evidence rather than a tautology.
 
-The depth-first searcher serves one n at a time (`oracle_exists`) and
-lists every code of one n (`all_codes`); the memo its searches share is
-a cache of subproblem verdicts, safe to reuse across calls.
-`range_exists` serves a whole range: one subset-sum pass over an int
-used as a bitset decides every n in 1..n_max, and holds a few
-n_max-bit ints, not a memo.
+One depth-first walk serves one n at a time: `oracle_exists` stops it
+at the first code, and `all_codes` lets it list every code. It keeps
+nothing between calls. `range_exists` serves a whole range: one
+subset-sum pass over an int used as a bitset decides every n in
+1..n_max, and holds a few n_max-bit ints.
 """
 
 from bisect import bisect_right
-from functools import lru_cache
+from collections.abc import Callable
 
 # unused here, but the benchmark tracer (perfbench/tracer.py) patches this
 # name when it installs, and fails on every workload if it is missing
 from ghcodes.ghcodec import exists as _codec_exists  # noqa: F401
-from ghcodes.sequences import CACHED_PARAMETERS, GHSequence, gh_sequence
+from ghcodes.sequences import GHSequence, gh_sequence
 
 __all__ = [
     "DEFAULT_MAX_INDEX", "SearchLimitError", "all_codes", "oracle_exists", "range_exists",
@@ -54,83 +53,59 @@ def _search_bound(seq: GHSequence, n: int) -> int:
     return i
 
 
-class _SubsetSearcher:
-    """Depth-first enumeration of no-two-adjacent index subsets."""
+def _walk(a: int, n: int, found: Callable[[list[int]], bool]) -> bool:
+    """Hand each code of n to found, depth first, until found returns True.
 
-    def __init__(self, a: int):
-        self.seq = gh_sequence(a)
-        self._memo: dict[tuple[int, int], bool] = {}
-        self._max_sums = [0, 0]  # best subset sum over indices 1..i
+    A code goes as its chosen indices, highest first, in a list the walk
+    reuses, so found must copy what it keeps. Returns whether found
+    stopped the walk.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    seq = gh_sequence(a)
+    top = _search_bound(seq, n)
+    term = [0, *seq.prefix(top)]  # term[i] is term(i)
+    best = [0, 0]  # best[i]: the largest sum of a no-two-adjacent subset of 1..i
+    for i in range(2, top + 1):
+        best.append(max(best[i - 1], term[i] + best[i - 2]))
+    chosen: list[int] = []
 
-    def _max_sum(self, i: int) -> int:
-        sums = self._max_sums
-        while len(sums) <= i:
-            j = len(sums)
-            sums.append(max(sums[j - 1], self.seq.term(j) + sums[j - 2]))
-        return sums[i]
-
-    def _reachable(self, i: int, t: int) -> bool:
-        # can some no-two-adjacent subset of {1..i} sum to t?
+    def walk(i: int, t: int) -> bool:
+        # chosen plus each subset of indices 1..i that sums to t
         if t == 0:
+            # no nonempty subset sums to 0: one needs term(1) and a sum of
+            # -a >= 2 from indices 3 up, which give 1 or more than -a
+            return found(chosen)
+        if i <= 0 or t < term[1] or t > best[i]:
+            return False
+        if walk(i - 1, t):
             return True
-        if i <= 0:
-            return False
-        if i == 1:
-            return t == self.seq.term(1)
-        if t < self.seq.term(1) or t > self._max_sum(i):
-            return False
-        key = (i, t)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._reachable(i - 1, t) or self._reachable(i - 2, t - self.seq.term(i))
-            self._memo[key] = hit
-        return hit
+        chosen.append(i)
+        stop = walk(i - 2, t - term[i])
+        chosen.pop()
+        return stop
 
-    def exists(self, n: int) -> bool:
-        return self._reachable(_search_bound(self.seq, n), n)
-
-    def codes(self, n: int) -> set[str]:
-        found: set[str] = set()
-        chosen: list[int] = []
-        term = self.seq.term
-        lowest = term(1)
-
-        def walk(i: int, t: int) -> None:
-            if i <= 0:
-                if t == 0 and chosen:
-                    word = ["0"] * chosen[0]
-                    for j in chosen:
-                        word[j - 1] = "1"
-                    found.add("".join(word) + "1")
-                return
-            if t < lowest or t > self._max_sum(i):
-                return
-            walk(i - 1, t)
-            chosen.append(i)
-            walk(i - 2, t - term(i))
-            chosen.pop()
-
-        walk(_search_bound(self.seq, n), n)
-        return found
-
-
-@lru_cache(maxsize=CACHED_PARAMETERS)
-def _searcher(a: int) -> _SubsetSearcher:
-    return _SubsetSearcher(a)
+    return walk(top, n)
 
 
 def oracle_exists(a: int, n: int) -> bool:
     """Exhaustive-search existence verdict for n under parameter a."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return _searcher(a).exists(n)
+    return _walk(a, n, lambda chosen: True)
 
 
 def all_codes(a: int, n: int) -> set[str]:
     """Every codeword whose bits sum to n, as a set of text codes."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return _searcher(a).codes(n)
+    codes: set[str] = set()
+
+    def add(chosen: list[int]) -> bool:
+        word = ["0"] * chosen[0]
+        for i in chosen:
+            word[i - 1] = "1"
+        codes.add("".join(word) + "1")
+        return False  # walk on to the next code
+
+    _walk(a, n, add)
+    return codes
 
 
 def range_exists(a: int, n_max: int) -> int:
@@ -149,7 +124,7 @@ def range_exists(a: int, n_max: int) -> int:
     terms exceed n_max - a. n >= 1 has a code iff bit n - a of the last
     S is set, the nonempty subsets summing to n being exactly its codes.
 
-    Like the depth-first searcher, this shares only the sequence cache
+    Like the depth-first walk, this shares only the sequence cache
     with the encoders, and it raises SearchLimitError where
     oracle_exists(a, n_max) would, before any bitset grows. It holds a
     few ints of n_max - a bits. Read the result in one pass, such as

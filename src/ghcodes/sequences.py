@@ -18,8 +18,8 @@ from functools import lru_cache
 
 __all__ = ["CACHED_PARAMETERS", "FibSequence", "GHSequence", "fib_sequence", "gh_sequence"]
 
-# how many values of a each per-a cache (here, in ghcodec and in oracle)
-# keeps; a CLI span of a or a stream header can name tens of thousands
+# how many values of a each per-a cache (here and in ghcodec) keeps; a
+# CLI span of a or a stream header can name tens of thousands
 CACHED_PARAMETERS = 64
 
 

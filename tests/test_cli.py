@@ -257,6 +257,14 @@ def test_bench_count_cap_exits_before_drawing(capsys, monkeypatch):
     assert err == "error: --count must be <= 10000000, got 10000001\n"
 
 
+def test_bench_bad_codec_spec_exits_before_drawing(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_gen_values", lambda *args, **kw: pytest.fail("drew values"))
+    code, out, err = run(capsys, "bench", "--dist", "geometric:0.05", "--count", "2000000",
+                         "--codes", "fib,gh:x")
+    assert (code, out) == (2, "")
+    assert err == "error: codec spec must be 'fib' or 'gh:A', got 'gh:x'\n"
+
+
 def test_bench_constant_fib(capsys):
     code, out, _ = run(capsys, "bench", "--dist", "constant:1", "--count", "100",
                        "--codes", "fib", "--format", "csv")

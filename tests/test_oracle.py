@@ -10,7 +10,6 @@ from ghcodes.ghcodec import encode_fast, exists, missing_runs
 from ghcodes.oracle import (
     SearchLimitError,
     _search_bound,
-    _SubsetSearcher,
     all_codes,
     oracle_exists,
     range_exists,
@@ -150,9 +149,23 @@ def test_gap_scan_memory_does_not_grow_with_n_max():
     assert peak < 4 * 2**20, peak
 
 
+def test_oracle_gap_scan_holds_one_verdict_string():
+    gap_scan(-1000, 1, "oracle")
+    tracemalloc.start()
+    try:
+        runs = gap_scan(-1000, 10**7, "oracle")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert runs == tuple(missing_runs(-1000, 1, 10**7))
+    # one byte per n for the verdicts, and the bitset they are read from;
+    # a reversed or zero-filled copy would add another byte per n
+    assert peak < 10**7 + 2 * 2**20, peak
+
+
 def test_per_a_caches_stay_bounded_over_many_a():
-    # sequences, remainder tables and searchers are cached per a; a CLI
-    # span of a can name tens of thousands of them
+    # sequences and remainder tables are cached per a; a CLI span of a
+    # can name tens of thousands of them
     gap_scan(-2, 1, "fast")
     oracle_exists(-2, 1)
     tracemalloc.start()
@@ -183,13 +196,26 @@ def test_gap_report_runs_structure(capsys):
     assert report["runs"] == [list(run) for run in runs]
 
 
-def test_search_bound_slack_does_not_change_verdicts():
-    # a window three indices wider than the bound gives the same verdict
-    for a in (-2, -7, -12, -20):
-        searcher = _SubsetSearcher(a)
-        for n in range(1, 200, 7):
-            bound = _search_bound(searcher.seq, n)
-            assert searcher._reachable(bound + 3, n) == oracle_exists(a, n)
+def test_search_bound_slack_does_not_change_verdicts(monkeypatch):
+    # a window three indices wider than the bound gives the same verdicts and codes
+    cases = [(a, n) for a in (-2, -7, -12, -20) for n in range(1, 200, 7)]
+    before = [(oracle_exists(a, n), all_codes(a, n)) for a, n in cases]
+    bound = oracle._search_bound
+    monkeypatch.setattr(oracle, "_search_bound", lambda seq, n: bound(seq, n) + 3)
+    assert [(oracle_exists(a, n), all_codes(a, n)) for a, n in cases] == before
+
+
+def test_per_n_oracle_keeps_nothing_between_calls():
+    oracle_exists(-7, 1)  # grows the shared sequence to its cap outside the trace
+    tracemalloc.start()
+    try:
+        for n in range(1, 20_001):
+            oracle_exists(-7, n)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a memo of (index, target) verdicts would hold about 0.3 KiB per n
+    assert current < 256 * 2**10, current
 
 
 def test_search_cap(monkeypatch):
