@@ -145,13 +145,18 @@ def greedy_remaining(a: int, n: int) -> tuple[tuple[int, ...], int, int]:
 
 
 def _assemble(prefix5: str, picked: tuple[int, ...]) -> str:
-    # cover on bits 1..5, picks from 6 up, then carry-rewrite, drop the
+    # cover on bits 1..5, then each pick from 6 up as its run of zeros
+    # and a 1, carry-rewrite only where a pair of ones shows, drop the
     # trailing zeros a short cover leaves, and close the word
-    top = max(picked, default=5)
-    raw = list(prefix5) + ["0"] * (top - 5)
-    for i in picked:
-        raw[i - 1] = "1"
-    return to_codeword(trim_trailing_zeros(normalize("".join(raw))))
+    parts = [prefix5]
+    j = 5
+    for i in reversed(picked):
+        parts.append("0" * (i - j - 1) + "1")
+        j = i
+    raw = "".join(parts)
+    if "11" in raw:
+        raw = normalize(raw)
+    return to_codeword(trim_trailing_zeros(raw))
 
 
 def encode_simple(a: int, n: int) -> EncodeOutcome | None:
@@ -160,16 +165,35 @@ def encode_simple(a: int, n: int) -> EncodeOutcome | None:
     For each candidate n0 the tail greedy must absorb n - n0 exactly;
     the first candidate that works yields the code. None means no
     candidate worked, i.e. no code exists.
+
+    The greedy runs on n once, not once per candidate. Say it picks
+    p1 > ... > pm and leaves r < term(6), with R(j) what is left after
+    the first j picks. Every table leftover n0 is below term(6), which
+    is at most term(pm). The greedy on n - n0 takes the largest term
+    at most R(j - 1) - n0, so it takes pj as the greedy on n does for
+    as long as R(j) >= n0. R(m - 1) = term(pm) + r is above n0, so it
+    takes p1..p(m - 1) for every candidate, and pm as well iff r >= n0.
+    Then n0 < r leaves r - n0 > 0 and fails, and n0 == r succeeds with
+    the picks of n. For n0 > r, the greedy after p(m - 1) has
+    term(pm) + r - n0 < term(pm) to absorb, so it goes on below pm.
+    With no pick at all, r = n and every n0 > r is a leftover above n.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     terms = _tail_terms(gh_sequence(a), n)
+    picked, r = _tail_greedy(terms, n)
     for n0, prefix in remainder_table(a).entries.items():  # ascending n0
-        if n0 > n:
-            break
-        picked, residual = _tail_greedy(terms, n - n0)
-        if residual == 0:
+        if n0 < r:
+            continue
+        if n0 == r:
             return EncodeOutcome(_assemble(prefix, picked), n0, n - n0, picked, False)
+        if not picked:
+            break
+        last = picked[-1]
+        rest, residual = _tail_greedy(terms[:last], terms[last - 1] + r - n0)
+        if residual == 0:
+            picks = picked[:-1] + rest
+            return EncodeOutcome(_assemble(prefix, picks), n0, n - n0, picks, False)
     return None
 
 

@@ -250,11 +250,21 @@ def test_verify_max_n_cap_exits_before_checking(capsys, monkeypatch):
     assert err == "error: --max-n must be <= 1000000, got 1000001\n"
 
 
-def test_bench_count_cap_exits_before_drawing(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_gen_values", lambda *args, **kw: pytest.fail("drew values"))
-    code, out, err = run(capsys, "bench", "--dist", "constant:1", "--count", str(10**7 + 1))
-    assert (code, out) == (2, "")
-    assert err == "error: --count must be <= 10000000, got 10000001\n"
+def test_bench_memory_does_not_grow_with_count():
+    # each codec draws its values from a generator, so no list of --count values is held
+    def bench_peak(count):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["bench", "--dist", "geometric:0.05", "--count", str(count),
+                             "--codes", "fib,gh:-7", "--format", "csv"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    small, large = bench_peak(10**4), bench_peak(10**5)
+    assert large < small + 2**16, (small, large)
 
 
 def test_bench_bad_codec_spec_exits_before_drawing(capsys, monkeypatch):
@@ -315,6 +325,45 @@ def test_verify_reports_an_oracle_disagreement(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--a", "-7", "--max-n", "40")
     assert code == 1
     assert err == "n=5: simple=False fast=False oracle=True\n"
+    assert out == (
+        "verify a=-7 n=1..40: FAIL (encodable 29, missing 11, disagreements 1)\n"
+    )
+
+
+def test_verify_decodes_equal_codes_once(capsys, monkeypatch):
+    # the two encoders agree on every code here, so each n costs one decode
+    calls = []
+    real = cli.decode
+    monkeypatch.setattr(cli, "decode", lambda a, code: calls.append(code) or real(a, code))
+    code, out, _ = run(capsys, "verify", "--a", "-7", "--max-n", "40")
+    assert code == 0 and "encodable 29" in out
+    assert len(calls) == 29
+
+
+def test_verify_reports_both_codes_when_equal_codes_decode_wrong(capsys, monkeypatch):
+    # n = 30 has the code 00100011 from both encoders; one decode serves both checks
+    real = cli.decode
+    monkeypatch.setattr(cli, "decode", lambda a, code: real(a, code) + (code == "00100011"))
+    code, out, err = run(capsys, "verify", "--a", "-7", "--max-n", "40")
+    assert code == 1
+    assert err == (
+        "n=30: fast code 00100011 decodes wrong\n"
+        "n=30: simple code 00100011 decodes wrong\n"
+    )
+    assert out == (
+        "verify a=-7 n=1..40: FAIL (encodable 29, missing 11, disagreements 2)\n"
+    )
+
+
+def test_verify_decodes_a_simple_code_that_differs(capsys, monkeypatch):
+    # a simple code other than the fast one is decoded on its own: here n = 30
+    # gets the code of 31, which decodes to 31
+    real = cli.encode_simple
+    monkeypatch.setattr(cli, "encode_simple",
+                        lambda a, n: real(a, n + 1) if n == 30 else real(a, n))
+    code, out, err = run(capsys, "verify", "--a", "-7", "--max-n", "40")
+    assert code == 1
+    assert err == "n=30: simple code 10010011 decodes wrong\n"
     assert out == (
         "verify a=-7 n=1..40: FAIL (encodable 29, missing 11, disagreements 1)\n"
     )
