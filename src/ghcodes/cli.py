@@ -16,7 +16,7 @@ import re
 import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, starmap
 from typing import NamedTuple, TextIO
 
 from ghcodes.fibcodec import fib_decode, fib_encode
@@ -421,18 +421,20 @@ def _cmd_stream_pack(args) -> int:
     return 0
 
 
-def _token_line(token) -> str:
-    if token.kind == "value":
-        return str(token.value)
-    lo, hi = token.bit_span
-    return f"# garbage bits [{lo}:{hi})"
+def _resync_lines(values: list[int | None], _spans, garbage: list) -> list[str]:
+    """The output lines of one chunk of a resync scan."""
+    lines = list(map(str, values))
+    for i, lo, hi in garbage:
+        lines[i] = f"# garbage bits [{lo}:{hi})"
+    return lines
 
 
 def _cmd_stream_unpack(args) -> int:
     with open(args.file, "rb") as fh:
         blob = fh.read()
     if args.resync:
-        _write_lines(map(_token_line, resync_decode(blob)))
+        # a Python call per chunk, none per value
+        _write_lines(chain.from_iterable(starmap(_resync_lines, resync_decode(blob).chunks())))
     else:
         # stream_decode raises before it returns, so a bad file prints nothing
         _write_lines(map(str, stream_decode(blob)))

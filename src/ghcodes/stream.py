@@ -30,8 +30,10 @@ a value per word. The strict decoder checks the whole payload in a
 first pass, so it fails before its caller sees any value; it then
 returns an iterable that decodes the values chunk by chunk.
 resync_decode checks the header at once and returns a scan that yields
-its tokens one at a time. Each iteration of either frames the payload
-anew.
+its tokens one at a time. It evaluates a chunk's words in one pass and
+computes bit spans only for its garbage, and the CLI prints each chunk's
+values and garbage spans from it without a token per value. Each
+iteration of either frames the payload anew.
 
 Small values dominate typical streams, so each call, and each
 iteration of a decoder's result, memoises codewords in a dict that
@@ -46,7 +48,7 @@ of codewords of 2 to 24 bits.
 import struct
 from collections.abc import Iterable, Iterator
 from functools import partial
-from itertools import accumulate, chain, islice, pairwise
+from itertools import accumulate, chain, compress, islice, pairwise
 from operator import add
 from typing import NamedTuple
 
@@ -79,7 +81,9 @@ _MEMO_MAX_BITS = 24
 _BATCH_VALUES = 8192
 # payload bytes the decoders turn into bits at a time
 _CHUNK_BYTES = 4096
-# every piece of at most 2 bits: a piece never ends in 1
+# every piece of at most 2 bits (a piece never ends in 1), and the only
+# ones a word below 1 can have: term(1) = a is the only negative term, and
+# a 1 at index >= 4 adds at least 2 - a
 _SHORT_PIECES = ("", "0", "00", "10")
 
 
@@ -303,20 +307,35 @@ class _Values(_Payload):
 class _ResyncScan(_Payload):
     """The tokens of one parsed payload, scanned anew on each iteration."""
 
-    def __iter__(self) -> Iterator[ResyncToken]:
+    def chunks(self) -> Iterator[tuple[list[int | None], Iterator[tuple[int, int]], list]]:
+        """Per framed chunk: its word values, their spans, and its garbage.
+
+        spans, an iterator, gives the bits of each word and its closing
+        pair. garbage lists (index, lo, hi) per word below 1, whose value
+        is None; an unterminated tail is the last chunk's only word.
+        """
         word_values = _WordValues(self._codec, self._a)
-        cursor = 0
+        start, pieces = 0, []
         for start, pieces in _frames(self._payload, self._avail):
-            # each piece spans its own bits and its closing pair
+            values = list(map(word_values.__getitem__, pieces))
+            low = {p for p in _SHORT_PIECES if p in pieces and word_values[p] < 1}
+            garbage = []
+            lo, at = start, 0
+            for i in compress(range(len(pieces)), map(low.__contains__, pieces)) if low else ():
+                lo += sum(map(len, pieces[at:i])) + 2 * (i - at)
+                garbage.append((i, lo, lo + len(pieces[i]) + 2))
+                values[i], at = None, i
             spans = pairwise(accumulate(map(partial(add, 2), map(len, pieces)), initial=start))
-            for span, v in zip(spans, map(word_values.__getitem__, pieces)):
-                if v >= 1:
-                    yield ResyncToken("value", v, span)
-                else:
-                    yield ResyncToken("garbage", None, span)
-            cursor = span[1]
-        if cursor < self._avail:
-            yield ResyncToken("garbage", None, (cursor, self._avail))
+            yield values, spans, garbage
+        # a chunk's words end where the next chunk's words start
+        end = start + sum(map(len, pieces)) + 2 * len(pieces)
+        if end < self._avail:
+            yield [None], iter([(end, self._avail)]), [(0, end, self._avail)]
+
+    def __iter__(self) -> Iterator[ResyncToken]:
+        for values, spans, _ in self.chunks():
+            for v, span in zip(values, spans):
+                yield ResyncToken("garbage" if v is None else "value", v, span)
 
 
 def resync_decode(data: bytes) -> Iterable[ResyncToken]:

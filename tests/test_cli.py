@@ -548,6 +548,31 @@ def test_stream_unpack_joins_its_lines_into_few_writes(tmp_path, monkeypatch):
         assert out.writes <= 4
 
 
+class _NullStdout:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_stream_unpack_resync_holds_no_line_per_value(tmp_path, monkeypatch):
+    # the output goes nowhere, so the peak is what the command itself holds
+    monkeypatch.setattr(sys, "stdout", _NullStdout())
+
+    def resync_peak(count):
+        path = tmp_path / f"{count}.ghc"
+        path.write_bytes(stream_encode("gh", -2, cli._gen_values("geometric:0.05", count, 12345)))
+        tracemalloc.start()
+        try:
+            assert main(["stream-unpack", "--resync", str(path)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert resync_peak(500_000) <= 1.5 * resync_peak(50_000)
+
+
 # more output than a pipe buffers, so the writer meets the closed pipe
 @pytest.mark.parametrize("argv", [
     ["stream-unpack", "{doc}"],

@@ -1,7 +1,12 @@
+import contextlib
+import io
+import os
 import random
 import struct
+import tempfile
 import time
 import tracemalloc
+from itertools import product
 from unittest.mock import patch
 
 import pytest
@@ -9,12 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 import ghcodes.stream as stream
 from ghcodes.bits import value
-from ghcodes.cli import _gen_values
+from ghcodes.cli import _gen_values, main
 from ghcodes.fibcodec import fib_encode
 from ghcodes.ghcodec import encode_fast
 from ghcodes.sequences import fib_sequence, gh_sequence
 from ghcodes.stream import (
     _MEMO_MAX_BITS,
+    _SHORT_PIECES,
     HeaderError,
     PayloadError,
     ResyncToken,
@@ -559,6 +565,68 @@ def test_framer_matches_the_reference_on_random_payloads(chunk, key, bits, count
     with patch.object(stream, "_CHUNK_BYTES", chunk):
         assert _strict_outcome(blob) == _reference_strict(blob)
         assert list(resync_decode(blob)) == _reference_resync(blob)
+
+
+# one line per token, rendered token by token: the reference for the lines
+# stream-unpack --resync renders a chunk at a time
+def _token_line(token) -> str:
+    if token.kind == "value":
+        return str(token.value)
+    lo, hi = token.bit_span
+    return f"# garbage bits [{lo}:{hi})"
+
+
+def _assert_cli_resync_prints_the_tokens(blob):
+    tokens = list(resync_decode(blob))
+    assert tokens == _reference_resync(blob)
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = os.path.join(tmp, "doc.ghc")
+        with open(doc, "wb") as fh:
+            fh.write(blob)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["stream-unpack", "--resync", doc]) == 0
+    assert out.getvalue() == "".join(_token_line(t) + "\n" for t in tokens)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("codec_byte, a", [(0, 0), (1, -2), (1, -7)])
+def test_cli_resync_lines_equal_the_tokens_at_chunk_boundaries(monkeypatch, chunk, codec_byte, a):
+    monkeypatch.setattr(stream, "_CHUNK_BYTES", chunk)
+    for bits in _boundary_cases(8 * chunk):
+        for padding in (0, 0xFF):
+            _assert_cli_resync_prints_the_tokens(_padded_document(codec_byte, a, 0, bits, padding))
+
+
+@given(
+    chunk=st.sampled_from([1, 2, 3]),
+    key=st.sampled_from([(0, 0), (1, -2), (1, -7)]),
+    bits=st.lists(st.sampled_from(_FRAGMENTS), max_size=30).map("".join),
+    padding=st.integers(0, 255),
+    cut=st.integers(0, 2),
+)
+@settings(max_examples=200, deadline=None)
+def test_cli_resync_lines_equal_the_tokens_on_random_payloads(chunk, key, bits, padding, cut):
+    codec_byte, a = key
+    blob = _padded_document(codec_byte, a, 0, bits, padding)
+    with patch.object(stream, "_CHUNK_BYTES", chunk):
+        _assert_cli_resync_prints_the_tokens(blob[: len(blob) - min(cut, len(blob) - HEADER_SIZE)])
+
+
+def _pieces(max_bits):
+    """Every piece of at most max_bits bits: no 11 pair, and no final 1."""
+    return [p for width in range(max_bits + 1)
+            for p in map("".join, product("01", repeat=width))
+            if "11" not in p and not p.endswith("1")]
+
+
+# both decoders look for words below 1 among the short pieces alone
+@pytest.mark.parametrize("a", [None, -2, -3, -4, -7, -40, -(2**15)])
+def test_only_the_short_pieces_evaluate_below_one(a):
+    seq = fib_sequence() if a is None else gh_sequence(a)
+    low = [p for p in _pieces(14) if value(seq, p + "1") < 1]
+    assert low == ([] if a is None else ["", "10"])
+    assert set(low) <= set(_SHORT_PIECES)
 
 
 def test_strict_errors_come_from_the_call_and_values_from_each_iteration():
