@@ -421,7 +421,7 @@ def _cmd_stream_pack(args) -> int:
     return 0
 
 
-def _resync_lines(values: list[int | None], _spans, garbage: list) -> list[str]:
+def _resync_lines(values: list[int], garbage: list) -> list[str]:
     """The output lines of one chunk of a resync scan."""
     lines = list(map(str, values))
     for i, lo, hi in garbage:

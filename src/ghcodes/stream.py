@@ -26,36 +26,43 @@ turns _CHUNK_BYTES (4096) bytes at a time into bits and splits them at
 each closing pair, carrying only the unfinished word into the next
 chunk. So a decoder holds the payload, one chunk's bits and words, and
 one word that runs past a chunk, never a string of the whole payload or
-a value per word. The strict decoder checks the whole payload in a
-first pass, so it fails before its caller sees any value; it then
-returns an iterable that decodes the values chunk by chunk.
-resync_decode checks the header at once and returns a scan that yields
-its tokens one at a time. It evaluates a chunk's words in one pass and
-computes bit spans only for its garbage, and the CLI prints each chunk's
-values and garbage spans from it without a token per value. Each
-iteration of either frames the payload anew.
+a value per word. One scan over the frames finds each chunk's garbage,
+the words below 1: only the short pieces of _SHORT_PIECES can be, so
+it evaluates those alone and searches a chunk only for the ones it
+holds. The strict decoder runs that scan as a first pass over the
+whole payload, evaluating no other word, so it fails before its caller
+sees any value; it then returns an iterable that decodes the values
+chunk by chunk. resync_decode checks the header at once and returns a
+scan that yields its tokens one at a time. It evaluates each chunk of
+the scan in one call and computes bit spans only for its garbage, and
+the CLI prints each chunk's values and garbage spans from it without a
+token per value. Each iteration of either frames the payload anew.
 
 Small values dominate typical streams, so each call, and each
 iteration of a decoder's result, memoises codewords in a dict that
-lives only that long: the encoder builds each distinct value's
-codeword once, and the decoders evaluate each distinct word once.
-Only codewords of at most _MEMO_MAX_BITS (24) bits are kept; longer
-ones are rebuilt or re-evaluated every time. Each entry stands for a
-distinct codeword, so a memo holds at most 75,024 entries, the number
-of codewords of 2 to 24 bits.
+lives only that long. The encoder builds each distinct value's
+codeword once when it is at most _MEMO_MAX_BITS (24) bits long, and
+rebuilds longer ones every time. The decoders evaluate a chunk's words
+together. They look the words up in the memo, which evaluates each
+distinct word once, until a word's codeword is longer than
+_MEMO_MAX_BITS bits. Then they evaluate every word of that chunk in
+C-level maps (encode, translate to 0/1 bytes, compress against one
+prefix of the terms, sum, add the closing term) and keep none, so no
+Python call is made per word. Each entry stands for a distinct
+codeword of 2 to 24 bits, so a memo holds at most 75,024 entries.
 """
 
 import struct
 from collections.abc import Iterable, Iterator
 from functools import partial
-from itertools import accumulate, chain, compress, islice, pairwise
-from operator import add
+from itertools import accumulate, chain, compress, islice, pairwise, repeat
+from operator import add, itemgetter
 from typing import NamedTuple
 
-from ghcodes.bits import value
+from ghcodes.bits import _ONES, value
 from ghcodes.fibcodec import fib_encode
 from ghcodes.ghcodec import encode_fast
-from ghcodes.sequences import fib_sequence, gh_sequence
+from ghcodes.sequences import FibSequence, GHSequence, fib_sequence, gh_sequence
 
 __all__ = [
     "CODEC_FIB",
@@ -168,7 +175,8 @@ def stream_encode(codec: str, a: int, values: Iterable[int]) -> bytes:
     return _HEADER.pack(MAGIC, VERSION, codec_byte, a, count, bit_length) + payload
 
 
-def _parse_header(data: bytes) -> tuple[int, int, int, int, memoryview]:
+def _parse_header(data: bytes) -> tuple[GHSequence | FibSequence, int, int, memoryview]:
+    """The sequence the header names, its count and bit length, and the payload."""
     if len(data) < _HEADER.size:
         raise HeaderError(f"stream shorter than the {_HEADER.size}-byte header")
     magic, version, codec, a, count, bit_length = _HEADER.unpack_from(data)
@@ -182,28 +190,41 @@ def _parse_header(data: bytes) -> tuple[int, int, int, int, memoryview]:
         raise HeaderError(f"a must be 0 for the fib codec, got {a}")
     if codec == CODEC_GH and a > -2:
         raise HeaderError(f"parameter a must be <= -2, got {a}")
+    seq = fib_sequence() if codec == CODEC_FIB else gh_sequence(a)
     # a view, so the payload is not copied
-    return codec, a, count, bit_length, memoryview(data)[_HEADER.size :]
+    return seq, count, bit_length, memoryview(data)[_HEADER.size :]
 
 
 class _WordValues(dict):
-    """piece -> value for one decode pass, under the codec a header names.
+    """piece -> value for one decode pass, under the sequence a header names.
 
-    A piece is a codeword without its closing pair. A missing piece is
-    evaluated on lookup and kept when its codeword is at most
-    _MEMO_MAX_BITS long. Callers check the value on every lookup, so a
-    non-positive word is rejected on a memo hit too.
+    A piece is a codeword without its closing pair. chunk() evaluates
+    one chunk's pieces. It looks them up while their codewords are at
+    most _MEMO_MAX_BITS long, and a missing one is evaluated once and
+    kept. A longer piece is a KeyError: then chunk() evaluates every
+    piece of the chunk in C-level maps over one prefix of the terms, the
+    longest piece + 1 long, with no Python call per piece, and keeps
+    none of them. So a memo hit costs no length check.
     """
 
-    def __init__(self, codec: int, a: int):
-        super().__init__()
-        self.seq = fib_sequence() if codec == CODEC_FIB else gh_sequence(a)
+    def __init__(self, seq: GHSequence | FibSequence):
+        self.seq = seq  # dict.__new__ has made the empty memo
 
     def __missing__(self, piece: str) -> int:
-        v = value(self.seq, piece + "1")
-        if len(piece) + 2 <= _MEMO_MAX_BITS:
-            self[piece] = v
-        return v
+        if len(piece) + 2 > _MEMO_MAX_BITS:
+            raise KeyError(piece)
+        return self.setdefault(piece, value(self.seq, piece + "1"))
+
+    def chunk(self, pieces: list[str]) -> list[int]:
+        """The values of a chunk's pieces, in order."""
+        try:
+            return list(map(self.__getitem__, pieces))
+        except KeyError:
+            # the sum of the terms at a piece's ones, plus its closing 1
+            terms = self.seq.prefix(max(map(len, pieces)) + 1)
+            ones = map(bytes.translate, map(str.encode, pieces), repeat(_ONES))
+            sums = map(sum, map(compress, repeat(terms), ones))
+            return list(map(add, sums, map(terms.__getitem__, map(len, pieces))))
 
 
 def _frames(payload: memoryview, avail: int) -> Iterator[tuple[int, list[str]]]:
@@ -215,9 +236,9 @@ def _frames(payload: memoryview, avail: int) -> Iterator[tuple[int, list[str]]]:
     completes a piece, yields the bit offset of its first piece and its
     pieces in order. The unfinished last piece is carried into the next
     chunk as a list of parts, joined once when the piece closes, so the
-    time stays linear in avail however long a piece runs. An
-    unterminated tail is never yielded: it starts where the last piece
-    yielded ends.
+    time stays linear in avail however long a piece runs. Last comes a
+    chunk with no pieces, at the offset where the last piece ends: an
+    unterminated tail starts there, and it is never yielded.
     """
     size = _CHUNK_BYTES  # read per call, so a test can put boundaries anywhere
     nbytes = (avail + 7) // 8
@@ -239,6 +260,7 @@ def _frames(payload: memoryview, avail: int) -> Iterator[tuple[int, list[str]]]:
             held = []
             start = end - len(tail)
         held.append(tail[: len(tail) - len(lead)])
+    yield start, []
 
 
 def stream_decode(data: bytes) -> Iterable[int]:
@@ -250,27 +272,24 @@ def stream_decode(data: bytes) -> Iterable[int]:
     before any value is seen. Returns an iterable of the values that
     decodes the payload anew, chunk by chunk, each time it is iterated.
     """
-    codec, a, count, bit_length, payload = _parse_header(data)
+    seq, count, bit_length, payload = _parse_header(data)
     expected_bytes = (bit_length + 7) // 8
     if len(payload) < expected_bytes:
         raise PayloadError("payload truncated", len(payload) * 8)
     if len(payload) > expected_bytes:
         raise PayloadError("trailing bytes after the payload", bit_length)
-    word_values = _WordValues(codec, a)
-    left, cursor = count, 0
-    for start, pieces in _frames(payload, bit_length):
+    values = _Values(seq, bit_length, payload)
+    left = count
+    # the scan ends with a chunk of no pieces, so start and words are always set
+    for start, pieces, garbage in values._scan():
+        if garbage and garbage[0][0] < left:
+            v = value(seq, pieces[garbage[0][0]] + "1")
+            raise PayloadError(f"codeword decodes to non-positive value {v}", garbage[0][1])
         words = pieces[:left]
-        # a piece never ends in 1, and only the gh pieces "" and "10"
-        # (words a and a + 1) are non-positive, so the short ones decide
-        bad = [words.index(p) for p in _SHORT_PIECES if p in words and word_values[p] < 1]
-        if bad:
-            i = min(bad)
-            lo = start + sum(map(len, words[:i])) + 2 * i
-            raise PayloadError(f"codeword decodes to non-positive value {word_values[words[i]]}", lo)
-        cursor = start + sum(map(len, words)) + 2 * len(words)
         left -= len(words)
         if not left:
             break
+    cursor = start + sum(map(len, words)) + 2 * len(words)
     if left:
         raise PayloadError("codeword truncated before its closing pair", cursor)
     if cursor != bit_length:
@@ -279,63 +298,72 @@ def stream_decode(data: bytes) -> Iterable[int]:
     padding = payload[-1] & ((1 << unused) - 1) if unused else 0
     if padding:
         raise PayloadError("padding bits must be zero", 8 * expected_bytes - padding.bit_length())
-    return _Values(codec, a, bit_length, payload)
+    return values
 
 
 class _Payload:
     """The payload bits a header declares, as far as the payload holds them."""
 
-    def __init__(self, codec: int, a: int, bit_length: int, payload: memoryview):
-        self._codec = codec
-        self._a = a
+    def __init__(self, seq: GHSequence | FibSequence, bit_length: int, payload: memoryview):
+        self._seq = seq
         self._avail = min(bit_length, len(payload) * 8)
         self._payload = payload
+
+    def _scan(self) -> Iterator[tuple[int, list[str], list[tuple[int, int, int]]]]:
+        """Per chunk _frames yields: its start, its pieces, and its garbage.
+
+        garbage lists (index, lo, hi) per piece whose word is below 1,
+        with the bits of the word and its closing pair. Only the short
+        pieces can be below 1, so they alone are evaluated, and only a
+        chunk that holds one of them is searched and measured.
+        """
+        below = [p for p in _SHORT_PIECES if value(self._seq, p + "1") < 1]
+        for start, pieces in _frames(self._payload, self._avail):
+            low = {p for p in below if p in pieces}
+            at = compress(range(len(pieces)), map(low.__contains__, pieces)) if low else ()
+            # ends[i] is where piece i starts, less the 2 * i bits of the pairs before it
+            ends = list(accumulate(map(len, pieces), initial=start)) if low else ()
+            yield start, pieces, [(i, ends[i] + 2 * i, ends[i + 1] + 2 * i + 2) for i in at]
 
 
 class _Values(_Payload):
     """The values of one checked payload, decoded anew on each iteration."""
 
     def __iter__(self) -> Iterator[int]:
-        word_values = _WordValues(self._codec, self._a)
-        # chained in C: no Python frame resumes per value
-        return chain.from_iterable(
-            map(word_values.__getitem__, pieces)
-            for _, pieces in _frames(self._payload, self._avail)
-        )
+        pieces = map(itemgetter(1), _frames(self._payload, self._avail))
+        # chained in C: no Python frame resumes per chunk or per value
+        return chain.from_iterable(map(_WordValues(self._seq).chunk, pieces))
 
 
 class _ResyncScan(_Payload):
     """The tokens of one parsed payload, scanned anew on each iteration."""
 
-    def chunks(self) -> Iterator[tuple[list[int | None], Iterator[tuple[int, int]], list]]:
-        """Per framed chunk: its word values, their spans, and its garbage.
+    def _evaluated(self) -> Iterator[tuple[int, Iterable[int], list[int], list]]:
+        """Per chunk: where its words start, their widths, their values and its garbage.
 
-        spans, an iterator, gives the bits of each word and its closing
-        pair. garbage lists (index, lo, hi) per word below 1, whose value
-        is None; an unterminated tail is the last chunk's only word.
+        A word's width counts its closing pair, and is computed only when
+        read. An unterminated tail comes last, as a chunk of one garbage
+        word of value 0.
         """
-        word_values = _WordValues(self._codec, self._a)
-        start, pieces = 0, []
-        for start, pieces in _frames(self._payload, self._avail):
-            values = list(map(word_values.__getitem__, pieces))
-            low = {p for p in _SHORT_PIECES if p in pieces and word_values[p] < 1}
-            garbage = []
-            lo, at = start, 0
-            for i in compress(range(len(pieces)), map(low.__contains__, pieces)) if low else ():
-                lo += sum(map(len, pieces[at:i])) + 2 * (i - at)
-                garbage.append((i, lo, lo + len(pieces[i]) + 2))
-                values[i], at = None, i
-            spans = pairwise(accumulate(map(partial(add, 2), map(len, pieces)), initial=start))
-            yield values, spans, garbage
-        # a chunk's words end where the next chunk's words start
-        end = start + sum(map(len, pieces)) + 2 * len(pieces)
-        if end < self._avail:
-            yield [None], iter([(end, self._avail)]), [(0, end, self._avail)]
+        word_values = _WordValues(self._seq)
+        for start, pieces, garbage in self._scan():
+            yield start, map(partial(add, 2), map(len, pieces)), word_values.chunk(pieces), garbage
+        # the last chunk has no pieces and starts where the tail does
+        if start < self._avail:
+            yield start, [self._avail - start], [0], [(0, start, self._avail)]
+
+    def chunks(self) -> Iterator[tuple[list[int], list[tuple[int, int, int]]]]:
+        """Per chunk: its word values and its garbage.
+
+        garbage lists (index, lo, hi) per word below 1; an unterminated
+        tail is the last chunk's only word, with value 0.
+        """
+        return map(itemgetter(2, 3), self._evaluated())
 
     def __iter__(self) -> Iterator[ResyncToken]:
-        for values, spans, _ in self.chunks():
-            for v, span in zip(values, spans):
-                yield ResyncToken("garbage" if v is None else "value", v, span)
+        for start, widths, values, _ in self._evaluated():
+            for v, span in zip(values, pairwise(accumulate(widths, initial=start))):
+                yield ResyncToken("value", v, span) if v > 0 else ResyncToken("garbage", None, span)
 
 
 def resync_decode(data: bytes) -> Iterable[ResyncToken]:
@@ -347,5 +375,5 @@ def resync_decode(data: bytes) -> Iterable[ResyncToken]:
     evaluate to a positive integer come back as value tokens; anything
     else, including an unterminated tail, comes back as garbage.
     """
-    codec, a, _count, bit_length, payload = _parse_header(data)
-    return _ResyncScan(codec, a, bit_length, payload)
+    seq, _count, bit_length, payload = _parse_header(data)
+    return _ResyncScan(seq, bit_length, payload)

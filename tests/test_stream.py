@@ -355,6 +355,9 @@ _MEMO_POOLS = {
     ("fib", 0): ([1, 2, 3, 20, 99, 75024], [75025, 10**6, 10**9, 10**12]),
     ("gh", -2): ([1, 2, 3, 20, 99, 50548], [50549, 10**6, 10**9, 10**12]),
     ("gh", -7): ([1, 2, 3, 9, 20, 105278], [105272, 10**6, 10**9, 10**12 + 3]),
+    # most values have no code at a = -2**15
+    ("gh", -(2**15)): ([1, 2, 3, 32769, 98312, 306438049],
+                       [358707185, 358772726, 10500230348, 15486824103503]),
 }
 
 
@@ -367,16 +370,38 @@ def test_memo_pools_straddle_the_bound(key):
 
 
 def test_memo_keeps_short_words_and_rebuilds_long_ones(monkeypatch):
-    built, evaluated = [], []
+    built, evaluated, memos = [], [], []
     real_encode, real_value = stream.fib_encode, stream.value
+
+    class RecordedWordValues(stream._WordValues):
+        def __init__(self, seq):
+            super().__init__(seq)
+            memos.append(self)
+
     monkeypatch.setattr(stream, "fib_encode", lambda v: built.append(v) or real_encode(v))
     monkeypatch.setattr(stream, "value", lambda seq, w: evaluated.append(w) or real_value(seq, w))
+    monkeypatch.setattr(stream, "_WordValues", RecordedWordValues)
     values = [75024, 75025, 75024, 75025, 75024]  # 24- and 25-bit codewords
     blob = stream_encode("fib", 0, values)
     assert built == [75024, 75025, 75025]
-    assert list(stream_decode(blob)) == values
-    assert [t.value for t in resync_decode(blob)] == values
-    assert [len(w) + 1 for w in evaluated] == [24, 25, 25] * 2
+    short = fib_encode(75024)[:-2]
+
+    def decode_both():
+        memos.clear()
+        evaluated.clear()
+        assert list(stream_decode(blob)) == values
+        assert [t.value for t in resync_decode(blob)] == values
+        # the strict decoding pass, then the resync pass; the checking pass
+        # evaluates no word of its own
+        return [dict(m) for m in memos]
+
+    # one word per chunk, or one chunk that the 25-bit word sends to the
+    # C-level path: either way the 24-bit word is evaluated once per pass
+    # and kept, and the 25-bit word is never kept
+    for chunk in (1, 4096):
+        monkeypatch.setattr(stream, "_CHUNK_BYTES", chunk)
+        assert decode_both() == [{short: 75024}] * 2
+        assert [w for w in evaluated if len(w) > 3] == [short + "1"] * 2
 
 
 @given(data=st.data())
@@ -411,6 +436,15 @@ def test_memoised_decoders_equal_per_span_reference_under_bit_flips(key):
 def test_non_positive_word_reported_before_truncated_tail():
     blob = _document(1, -2, 3, "01011" + "11" + "0010")
     with pytest.raises(PayloadError, match="non-positive") as err:
+        stream_decode(blob)
+    assert err.value.bit_offset == 5
+
+
+@pytest.mark.parametrize("chunk", [1, 4096])
+def test_non_positive_word_past_the_count_is_leftover(monkeypatch, chunk):
+    monkeypatch.setattr(stream, "_CHUNK_BYTES", chunk)
+    blob = _document(1, -2, 1, "01011" + "11")
+    with pytest.raises(PayloadError, match="continues past the declared count") as err:
         stream_decode(blob)
     assert err.value.bit_offset == 5
 
@@ -611,6 +645,34 @@ def test_cli_resync_lines_equal_the_tokens_on_random_payloads(chunk, key, bits, 
     blob = _padded_document(codec_byte, a, 0, bits, padding)
     with patch.object(stream, "_CHUNK_BYTES", chunk):
         _assert_cli_resync_prints_the_tokens(blob[: len(blob) - min(cut, len(blob) - HEADER_SIZE)])
+
+
+# A chunk's pieces take the memo while each is at most 22 bits (a 24-bit
+# codeword), and C-level maps once one has 23 bits or more. Payloads of each pool
+# put the last short and first long codewords alone in a chunk or beside
+# others, and a gh long word beside the non-positive words "11" and "1011".
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+@pytest.mark.parametrize("key", sorted(_MEMO_POOLS))
+def test_chunk_evaluator_equals_the_references(monkeypatch, chunk, key):
+    monkeypatch.setattr(stream, "_CHUNK_BYTES", chunk)
+    codec, a = key
+    codec_byte = 0 if codec == "fib" else 1
+    short, long = _MEMO_POOLS[key]
+    words = [_reference_codeword(codec, a, v) for v in short + long]
+    rng = random.Random(chunk)
+    cases = ["".join(words[: len(short)]), "".join(words[: len(short) + 1]), "".join(words)]
+    cases += ["".join(rng.choices(words, k=60)) for _ in range(4)]
+    if codec == "gh":
+        cases.append(words[-1] + "11" + words[0] + "1011" + words[len(short)] + "11")
+    # the longest pieces of the first two cases
+    assert [max(map(len, words[: len(short) + i])) - 2 for i in (0, 1)] == [22, 23]
+    for bits in cases:
+        damaged = clean = _document(codec_byte, a, _closed_words(codec_byte, a, bits), bits)
+        for _ in range(rng.randint(1, 4)):
+            damaged = _flip(damaged, rng.randrange(len(bits)))
+        for blob in (clean, damaged):
+            assert _strict_outcome(blob) == _reference_strict(blob)
+            _assert_cli_resync_prints_the_tokens(blob)
 
 
 def _pieces(max_bits):
