@@ -109,21 +109,25 @@ def _tail_terms(seq: GHSequence, n: int) -> list[int]:
     """Terms 1..l, l the largest tail index with term(l) <= n (at least 6).
 
     The list holds every term the tail greedy can pick for a target of
-    at most n, so one lookup serves every greedy run of one encode.
+    at most n, so one lookup serves every greedy run of one encode, or
+    of every n in a range that ends at n.
     """
     return seq.prefix(seq.largest_remaining_leq(n) or 6)
 
 
-def _tail_greedy(terms: list[int], target: int) -> tuple[tuple[int, ...], int]:
-    """Greedy picks over indices >= 6 for 0 <= target < the term after terms[-1].
+def _tail_greedy(
+    terms: list[int], target: int, hi: int | None = None
+) -> tuple[tuple[int, ...], int]:
+    """Greedy picks over indices 6..hi for 0 <= target < term(hi + 1).
 
-    Returns (picks, residual). terms[i - 1] is term(i). After taking
-    term(i) the remainder is below term(i - 1), so the next search stops
-    short of index i - 1.
+    Returns (picks, residual). terms[i - 1] is term(i), and hi defaults
+    to len(terms). After taking term(i) the remainder is below
+    term(i - 1), so the next search stops short of index i - 1.
     """
     picked: list[int] = []
     first_tail = terms[5]
-    hi = len(terms)
+    if hi is None:
+        hi = len(terms)
     while target >= first_tail:
         i = bisect_right(terms, target, 5, hi)  # largest index with term(i) <= target
         picked.append(i)
@@ -132,15 +136,23 @@ def _tail_greedy(terms: list[int], target: int) -> tuple[tuple[int, ...], int]:
     return tuple(picked), target
 
 
+def _greedy_split(
+    a: int, n: int
+) -> tuple[dict[int, str], list[int], int, tuple[int, ...], int]:
+    """A finisher's arguments: the covers, the terms, n, and the tail greedy on n."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    terms = _tail_terms(gh_sequence(a), n)
+    return (remainder_table(a).entries, terms, n, *_tail_greedy(terms, n))
+
+
 def greedy_remaining(a: int, n: int) -> tuple[tuple[int, ...], int, int]:
     """Split n into tail picks, their sum n1, and the leftover n0 < term(6).
 
     Picks come out strictly decreasing with no two adjacent indices:
     after taking term(i) the remainder drops below term(i - 1).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    picked, residual = _tail_greedy(_tail_terms(gh_sequence(a), n), n)
+    *_, picked, residual = _greedy_split(a, n)
     return picked, n - residual, residual
 
 
@@ -157,6 +169,25 @@ def _assemble(prefix5: str, picked: tuple[int, ...]) -> str:
     if "11" in raw:
         raw = normalize(raw)
     return to_codeword(trim_trailing_zeros(raw))
+
+
+def _finish_simple(
+    entries: dict[int, str], terms: list[int], n: int, picked: tuple[int, ...], r: int
+) -> EncodeOutcome | None:
+    """encode_simple's outcome for n, given the tail greedy's picks and residual r on n."""
+    for n0, prefix in entries.items():  # ascending n0
+        if n0 < r:
+            continue
+        if n0 == r:
+            return EncodeOutcome(_assemble(prefix, picked), n0, n - n0, picked, False)
+        if not picked:
+            break
+        last = picked[-1]
+        rest, residual = _tail_greedy(terms, terms[last - 1] + r - n0, last)
+        if residual == 0:
+            picks = picked[:-1] + rest
+            return EncodeOutcome(_assemble(prefix, picks), n0, n - n0, picks, False)
+    return None
 
 
 def encode_simple(a: int, n: int) -> EncodeOutcome | None:
@@ -178,45 +209,27 @@ def encode_simple(a: int, n: int) -> EncodeOutcome | None:
     term(pm) + r - n0 < term(pm) to absorb, so it goes on below pm.
     With no pick at all, r = n and every n0 > r is a leftover above n.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    terms = _tail_terms(gh_sequence(a), n)
-    picked, r = _tail_greedy(terms, n)
-    for n0, prefix in remainder_table(a).entries.items():  # ascending n0
-        if n0 < r:
-            continue
-        if n0 == r:
-            return EncodeOutcome(_assemble(prefix, picked), n0, n - n0, picked, False)
-        if not picked:
-            break
-        last = picked[-1]
-        rest, residual = _tail_greedy(terms[:last], terms[last - 1] + r - n0)
-        if residual == 0:
-            picks = picked[:-1] + rest
-            return EncodeOutcome(_assemble(prefix, picks), n0, n - n0, picks, False)
-    return None
+    return _finish_simple(*_greedy_split(a, n))
 
 
-def _split(
-    seq: GHSequence, entries: dict[int, str], n: int
-) -> tuple[str, tuple[int, ...], int, bool] | None:
-    """(cover, tail picks, n0, used_fallback) for n, or None when no code exists.
+def _finish_fast(
+    entries: dict[int, str], terms: list[int], n: int, picked: tuple[int, ...], r: int
+) -> EncodeOutcome | None:
+    """encode_fast's outcome for n, given the tail greedy's picks and residual r on n.
 
-    used_fallback is carried separately because a first-attempt leftover
-    of term(2) + term(4) also takes the cover 01010.
+    used_fallback is set apart from the cover, because a first-attempt
+    leftover of term(2) + term(4) also takes the cover 01010.
     """
-    terms = _tail_terms(seq, n)
-    picked, residual = _tail_greedy(terms, n)
-    prefix = entries.get(residual)
+    prefix = entries.get(r)
     if prefix is not None:
-        return prefix, picked, residual, False
-    fallback_n0 = terms[1] + terms[3]
-    if n < fallback_n0:
+        return EncodeOutcome(_assemble(prefix, picked), r, n - r, picked, False)
+    n0 = terms[1] + terms[3]  # the cover 01010
+    if n < n0:
         return None
-    picked, residual = _tail_greedy(terms, n - fallback_n0)
+    picked, residual = _tail_greedy(terms, n - n0)
     if residual != 0:
         return None
-    return "01010", picked, fallback_n0, True
+    return EncodeOutcome(_assemble("01010", picked), n0, n - n0, picked, True)
 
 
 def encode_fast(a: int, n: int) -> EncodeOutcome | None:
@@ -229,20 +242,36 @@ def encode_fast(a: int, n: int) -> EncodeOutcome | None:
     absorb the rest exactly. The existence verdict is checked against
     encode_simple across the test suite rather than assumed.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    split = _split(gh_sequence(a), remainder_table(a).entries, n)
-    if split is None:
-        return None
-    prefix, picked, n0, used_fallback = split
-    return EncodeOutcome(_assemble(prefix, picked), n0, n - n0, picked, used_fallback)
+    return _finish_fast(*_greedy_split(a, n))
 
 
 def exists(a: int, n: int) -> bool:
     """True iff a code for n exists under parameter a."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return _split(gh_sequence(a), remainder_table(a).entries, n) is not None
+    return encode_fast(a, n) is not None
+
+
+def _outcome_pairs(
+    a: int, lo: int, hi: int
+) -> Iterator[tuple[EncodeOutcome | None, EncodeOutcome | None]]:
+    """(encode_simple(a, n), encode_fast(a, n)) for each n in lo..hi, ascending.
+
+    One term lookup serves the range and one tail greedy each n. When
+    its residual has a cover the two outcomes are one: encode_simple
+    skips every smaller leftover and stops at that one, with the same
+    picks. Being a generator, it checks its arguments when iteration
+    starts.
+    """
+    if lo < 1 or hi < lo:
+        raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
+    entries = remainder_table(a).entries
+    terms = _tail_terms(gh_sequence(a), hi)
+    for n in range(lo, hi + 1):
+        picked, r = _tail_greedy(terms, n)
+        fast = _finish_fast(entries, terms, n, picked, r)
+        if r in entries:
+            yield fast, fast
+        else:
+            yield _finish_simple(entries, terms, n, picked, r), fast
 
 
 def missing_runs(a: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:

@@ -12,7 +12,7 @@ import pytest
 import ghcodes
 from ghcodes import cli
 from ghcodes.cli import main
-from ghcodes.ghcodec import decode, exists
+from ghcodes.ghcodec import decode, encode_simple, exists, missing_runs
 from ghcodes.stream import stream_decode, stream_encode
 
 
@@ -243,7 +243,7 @@ def test_gaps_rejects_unknown_mode(capsys, monkeypatch):
 
 
 def test_verify_max_n_cap_exits_before_checking(capsys, monkeypatch):
-    for name in ("range_exists", "encode_simple", "encode_fast"):
+    for name in ("range_exists", "_outcome_pairs", "encode_simple", "encode_fast"):
         monkeypatch.setattr(cli, name, lambda *args, **kw: pytest.fail("checked"))
     code, out, err = run(capsys, "verify", "--a", "-7", "--max-n", str(10**6 + 1))
     assert (code, out) == (2, "")
@@ -358,9 +358,13 @@ def test_verify_reports_both_codes_when_equal_codes_decode_wrong(capsys, monkeyp
 def test_verify_decodes_a_simple_code_that_differs(capsys, monkeypatch):
     # a simple code other than the fast one is decoded on its own: here n = 30
     # gets the code of 31, which decodes to 31
-    real = cli.encode_simple
-    monkeypatch.setattr(cli, "encode_simple",
-                        lambda a, n: real(a, n + 1) if n == 30 else real(a, n))
+    real = cli._outcome_pairs
+
+    def pairs(a, lo, hi):
+        for n, (simple, fast) in enumerate(real(a, lo, hi), lo):
+            yield (encode_simple(a, n + 1) if n == 30 else simple), fast
+
+    monkeypatch.setattr(cli, "_outcome_pairs", pairs)
     code, out, err = run(capsys, "verify", "--a", "-7", "--max-n", "40")
     assert code == 1
     assert err == "n=30: simple code 10010011 decodes wrong\n"
@@ -378,6 +382,27 @@ def test_verify_memory_stays_flat():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_verify_keeps_only_the_failures_it_prints(capsys, monkeypatch):
+    # an oracle that claims every n fails each missing n, about 11,500 of them
+    # here; only the first 20 lines are kept, the rest are counted
+    monkeypatch.setattr(cli, "range_exists", lambda a, n_max: (1 << n_max) - 1)
+    missing = [n for start, length in missing_runs(-7, 1, 40000)
+               for n in range(start, start + length)]
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "--a", "-7", "--max-n", "40000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert err == "".join(f"n={n}: simple=False fast=False oracle=True\n" for n in missing[:20])
+    assert out == (
+        f"verify a=-7 n=1..40000: FAIL (encodable {40000 - len(missing)}, "
+        f"missing {len(missing)}, disagreements {len(missing)})\n"
+    )
     assert peak < 2**20, peak
 
 
