@@ -38,7 +38,7 @@ DEFAULT_SEED = 12345
 # about 145 MiB peak RSS at a=-5 and this cap, 18 MiB at a=-1000
 _MAX_SCAN_N = 10**7
 # verify finishes both encoders' outcomes for every n from one greedy split
-# and decodes its code: 11.0 s at this cap for a=-7 in one run (2 vCPUs)
+# and decodes its code: 12.1 s at this cap for a=-7 in one run (2 vCPUs)
 _MAX_VERIFY_N = 10**6
 # characters per read of stream-pack's stdin; reading line by line was slower
 _STDIN_CHUNK = 65536
@@ -360,7 +360,7 @@ def _cmd_verify(args) -> int:
             shown.append(line)
 
     verdicts = islice(reversed(_oracle_verdicts(a, args.max_n)), args.max_n)
-    pairs = _outcome_pairs(a, 1, args.max_n)
+    pairs = _outcome_pairs(a, args.max_n)
     for n, (verdict, (simple, fast)) in enumerate(zip(verdicts, pairs), 1):
         ground = verdict == "1"
         have = fast is not None

@@ -115,19 +115,16 @@ def _tail_terms(seq: GHSequence, n: int) -> list[int]:
     return seq.prefix(seq.largest_remaining_leq(n) or 6)
 
 
-def _tail_greedy(
-    terms: list[int], target: int, hi: int | None = None
-) -> tuple[tuple[int, ...], int]:
-    """Greedy picks over indices 6..hi for 0 <= target < term(hi + 1).
+def _tail_greedy(terms: list[int], target: int) -> tuple[tuple[int, ...], int]:
+    """Greedy picks over indices >= 6 for 0 <= target < the term after terms[-1].
 
-    Returns (picks, residual). terms[i - 1] is term(i), and hi defaults
-    to len(terms). After taking term(i) the remainder is below
-    term(i - 1), so the next search stops short of index i - 1.
+    Returns (picks, residual). terms[i - 1] is term(i). After taking
+    term(i) the remainder is below term(i - 1), so the next search stops
+    short of index i - 1.
     """
     picked: list[int] = []
     first_tail = terms[5]
-    if hi is None:
-        hi = len(terms)
+    hi = len(terms)
     while target >= first_tail:
         i = bisect_right(terms, target, 5, hi)  # largest index with term(i) <= target
         picked.append(i)
@@ -183,7 +180,8 @@ def _finish_simple(
         if not picked:
             break
         last = picked[-1]
-        rest, residual = _tail_greedy(terms, terms[last - 1] + r - n0, last)
+        # the target is below term(last), so the greedy picks below last
+        rest, residual = _tail_greedy(terms, terms[last - 1] + r - n0)
         if residual == 0:
             picks = picked[:-1] + rest
             return EncodeOutcome(_assemble(prefix, picks), n0, n - n0, picks, False)
@@ -246,26 +244,25 @@ def encode_fast(a: int, n: int) -> EncodeOutcome | None:
 
 
 def exists(a: int, n: int) -> bool:
-    """True iff a code for n exists under parameter a."""
-    return encode_fast(a, n) is not None
+    """True iff a code for n exists under parameter a: encode_fast without the code."""
+    entries, terms, _, _, r = _greedy_split(a, n)
+    n0 = terms[1] + terms[3]  # the cover 01010
+    return r in entries or (n >= n0 and _tail_greedy(terms, n - n0)[1] == 0)
 
 
 def _outcome_pairs(
-    a: int, lo: int, hi: int
+    a: int, n_max: int
 ) -> Iterator[tuple[EncodeOutcome | None, EncodeOutcome | None]]:
-    """(encode_simple(a, n), encode_fast(a, n)) for each n in lo..hi, ascending.
+    """(encode_simple(a, n), encode_fast(a, n)) for each n in 1..n_max, ascending.
 
     One term lookup serves the range and one tail greedy each n. When
     its residual has a cover the two outcomes are one: encode_simple
     skips every smaller leftover and stops at that one, with the same
-    picks. Being a generator, it checks its arguments when iteration
-    starts.
+    picks.
     """
-    if lo < 1 or hi < lo:
-        raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
     entries = remainder_table(a).entries
-    terms = _tail_terms(gh_sequence(a), hi)
-    for n in range(lo, hi + 1):
+    terms = _tail_terms(gh_sequence(a), n_max)
+    for n in range(1, n_max + 1):
         picked, r = _tail_greedy(terms, n)
         fast = _finish_fast(entries, terms, n, picked, r)
         if r in entries:

@@ -360,8 +360,8 @@ def test_verify_decodes_a_simple_code_that_differs(capsys, monkeypatch):
     # gets the code of 31, which decodes to 31
     real = cli._outcome_pairs
 
-    def pairs(a, lo, hi):
-        for n, (simple, fast) in enumerate(real(a, lo, hi), lo):
+    def pairs(a, n_max):
+        for n, (simple, fast) in enumerate(real(a, n_max), 1):
             yield (encode_simple(a, n + 1) if n == 30 else simple), fast
 
     monkeypatch.setattr(cli, "_outcome_pairs", pairs)
