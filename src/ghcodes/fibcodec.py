@@ -1,30 +1,100 @@
-"""Classic Fibonacci universal code."""
+"""Classic Fibonacci universal code.
+
+fib_encode reads the Zeckendorf digits of n from fixed tables, twelve
+indices at a time. Why that gives the greedy digits:
+
+A set of indices below k with no two adjacent sums to less than term(k);
+the largest such sum, term(k - 1) + term(k - 3) + ..., is term(k) - 1.
+So of two Zeckendorf representations, the one with the digit set at the
+highest index where they differ stands for the larger number: Zeckendorf
+order is lexicographic from the top digit. Now fix a block of indices
+s..s+11 and let r be n less its digits above the block, and p the digits
+of n in the block. Then r is the sum of p plus n's digits below s. For
+any pattern q above p in that order, at the highest index k where they
+differ q has the digit and p does not, so q sums to at least the shared
+digits above k plus term(k). But r is the shared digits plus digits of
+n below k, which sum to less than term(k). So q sums to more than r,
+and p is the pattern with the largest block sum that is at most r. The
+patterns of one block are ordered the same way at every position, so
+each block's sums form one ascending list over one list of patterns,
+and a bisect finds p. Below term(13) the block sum of a pattern is its
+value, so the low block is an index into the patterns.
+
+Twelve indices give 377 patterns, and the tables for eight blocks take
+about 150 KB. Eight blocks of twelve reach index 96, the first whole
+block past index 92, the highest a value below 2^64 can set. Encoding
+100k values of about 10^12 in-process, sixteen indices per block (2584
+patterns, about 0.8 MB) ran only 2-3% faster, and eight ran about 1.2x
+slower.
+"""
+
+from bisect import bisect_right
+from functools import lru_cache
 
 from ghcodes.bits import from_codeword, value
 from ghcodes.sequences import fib_sequence
 
 __all__ = ["fib_decode", "fib_encode"]
 
+_BLOCK = 12  # indices per block of the tables
+_BLOCKS = 8  # blocks in the tables, indices 1..96
+
+
+@lru_cache(maxsize=None)
+def _tables() -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Patterns, each block's sums of them, and the start term of each block.
+
+    The patterns of width w in value order are those of width w - 1 with
+    index w clear, then those of width w - 2 with index w - 1 clear and
+    index w set. A block's sums follow the same recursion with its own
+    terms. The start terms run from term(1) to term(97), one past the
+    tables. Built on the first call, so importing the module builds
+    nothing; the cache publishes the finished tuple in one step.
+    """
+    shorter, patterns = [""], ["0", "1"]
+    for _ in range(_BLOCK - 1):
+        shorter, patterns = patterns, [p + "0" for p in patterns] + [p + "01" for p in shorter]
+    terms = fib_sequence().prefix(_BLOCK * _BLOCKS + 1)
+    block_sums = []
+    for start in range(0, _BLOCK * _BLOCKS, _BLOCK):
+        first, *rest = terms[start : start + _BLOCK]
+        shorter, sums = [0], [0, first]
+        for term in rest:
+            shorter, sums = sums, sums + [s + term for s in shorter]
+        block_sums.append(tuple(sums))
+    return tuple(patterns), tuple(block_sums), tuple(terms[::_BLOCK])
+
 
 def fib_encode(n: int) -> str:
-    """Greedy Zeckendorf bits for n plus the closing 1.
+    """Zeckendorf bits for n plus the closing 1.
 
-    Taking the largest term not exceeding the remainder leaves less than
-    the next term down, so no two adjacent indices are ever set and the
-    remainder always reaches zero.
+    Each block from n's top one down takes the pattern with the largest
+    block sum not exceeding the remainder (see the module docstring). An
+    n of term(97) or more first runs the greedy over the indices above
+    the tables: taking the largest term not exceeding the remainder
+    leaves less than the next term down, so no two adjacent indices are
+    set and what is left is below term(97).
     """
     if n < 1:
         raise ValueError(f"only positive integers are encodable, got {n}")
-    seq = fib_sequence()
-    top = seq.largest_leq(n)
-    terms = seq.prefix(top)
-    word = ["0"] * top
-    remainder = n
-    for i in range(top - 1, -1, -1):
-        if terms[i] <= remainder:
-            word[i] = "1"
-            remainder -= terms[i]
-    return "".join(word) + "1"
+    patterns, block_sums, starts = _tables()
+    top = bisect_right(starts, n) - 1  # the block of n's top index, or _BLOCKS past the tables
+    word = ""
+    if top == _BLOCKS:
+        seq = fib_sequence()
+        terms = seq.prefix(seq.largest_leq(n))[_BLOCK * _BLOCKS :]
+        digits = ["0"] * len(terms)
+        for i in range(len(terms) - 1, -1, -1):
+            if terms[i] <= n:
+                digits[i] = "1"
+                n -= terms[i]
+        word = "".join(digits)
+        top -= 1
+    for sums in block_sums[top:0:-1]:
+        k = bisect_right(sums, n) - 1
+        word = patterns[k] + word
+        n -= sums[k]
+    return (patterns[n] + word).rstrip("0") + "1"
 
 
 def fib_decode(code: str) -> int:

@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import ghcodes
+from ghcodes import fibcodec
 from ghcodes.fibcodec import fib_decode, fib_encode
 from ghcodes.sequences import fib_sequence
 
@@ -11,6 +18,27 @@ GOLDEN = {
     6: "10011", 7: "01011", 8: "000011", 9: "100011", 10: "010011",
     11: "001011", 12: "101011", 13: "0000011", 14: "1000011", 15: "0100011",
 }
+
+
+def _reference_fib_encode(n: int) -> str:
+    # the greedy over every index, one index at a time
+    seq = fib_sequence()
+    top = seq.largest_leq(n)
+    terms = seq.prefix(top)
+    word = ["0"] * top
+    remainder = n
+    for i in range(top - 1, -1, -1):
+        if terms[i] <= remainder:
+            word[i] = "1"
+            remainder -= terms[i]
+    return "".join(word) + "1"
+
+
+def _around_every_term(last: int) -> list[int]:
+    # term(j) - 1, term(j) and term(j) + 1 for j <= last: every block edge
+    # of the tables and both sides of term(97), where they end
+    seq = fib_sequence()
+    return [n for j in range(1, last + 1) for n in (seq.term(j) - 1, seq.term(j), seq.term(j) + 1) if n >= 1]
 
 
 def test_golden_codes():
@@ -74,3 +102,61 @@ def test_zeckendorf_uniqueness_by_exhaustion():
     walk(1, 0)
     for n in range(1, limit + 1):
         assert counts.get(n, 0) == 1
+
+
+def test_encode_equals_the_reference_up_to_200000():
+    bad = [n for n in range(1, 200_001) if fib_encode(n) != _reference_fib_encode(n)]
+    assert bad == []
+
+
+def test_encode_equals_the_reference_around_every_term():
+    values = _around_every_term(140)
+    assert max(values) > 2**64 and fib_sequence().term(97) in values
+    assert [fib_encode(n) for n in values] == [_reference_fib_encode(n) for n in values]
+
+
+@given(n=st.integers(min_value=1, max_value=10**60))
+def test_encode_equals_the_reference_for_large_n(n):
+    assert fib_encode(n) == _reference_fib_encode(n)
+
+
+def test_tables_keep_their_size_whatever_n():
+    fib_encode(10**200)
+    patterns, block_sums, starts = fibcodec._tables()
+    assert len(patterns) == 377 and len(starts) == 9
+    assert [len(sums) for sums in block_sums] == [377] * 8
+    assert block_sums[0] == tuple(range(377))
+    assert starts[-1] == fib_sequence().term(97)
+
+
+def test_import_builds_no_table():
+    src = str(Path(ghcodes.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    probe = "import ghcodes.cli, ghcodes.fibcodec as f; print(f._tables.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
+
+
+def test_threads_making_the_first_call_together_get_the_reference_codes():
+    values = _around_every_term(140) + list(range(1, 2000))
+    expected = [_reference_fib_encode(n) for n in values]
+    fibcodec._tables.cache_clear()
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def encode_all(slot):
+        start.wait(timeout=60)
+        results[slot] = [fib_encode(n) for n in values]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=encode_all, args=(slot,)) for slot in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 4
