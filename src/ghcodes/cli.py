@@ -19,15 +19,16 @@ from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, islice, repeat, starmap
 from typing import NamedTuple, TextIO
 
-from ghcodes.fibcodec import fib_decode, fib_encode
-from ghcodes.ghcodec import _outcome_pairs, decode, encode_fast, missing_runs
-# encode_simple and oracle_exists are unused here, but the benchmark tracer
-# (perfbench/tracer.py) patches these names when it installs
-from ghcodes.ghcodec import encode_simple  # noqa: F401
+from ghcodes.fibcodec import fib_decode
+from ghcodes.ghcodec import _outcome_pairs, decode, missing_runs
+# encode_fast, encode_simple and oracle_exists are unused here, but the
+# benchmark tracer (perfbench/tracer.py) patches these names when it installs
+from ghcodes.ghcodec import encode_fast, encode_simple  # noqa: F401
 from ghcodes.oracle import oracle_exists, range_exists  # noqa: F401
 from ghcodes.sequences import gh_sequence
 from ghcodes.stream import (
     UnencodableValueError,
+    codeword_encoder,
     resync_decode,
     stream_decode,
     stream_encode,
@@ -103,31 +104,28 @@ def _require_a(args) -> int:
     return args.a
 
 
-def _require_no_a(args) -> None:
+def _code_a(args) -> int:
+    """The a that --code and --a name: 0 for fib, which takes no --a."""
+    if args.code == "gh":
+        return _require_a(args)
     if args.a is not None:
         raise ValueError("--a only applies to the gh code")
+    return 0
 
 
 def _cmd_encode(args) -> int:
-    if args.code == "fib":
-        _require_no_a(args)
-        print(fib_encode(args.n))
-        return 0
-    a = _require_a(args)
-    outcome = encode_fast(a, args.n)
-    if outcome is None:
+    a = _code_a(args)
+    code = codeword_encoder(args.code, a)(args.n)
+    if code is None:
         print(f"no code exists for n={args.n} at a={a}", file=sys.stderr)
         return 1
-    print(outcome.code)
+    print(code)
     return 0
 
 
 def _cmd_decode(args) -> int:
-    if args.code == "fib":
-        _require_no_a(args)
-        print(fib_decode(args.bits))
-    else:
-        print(decode(_require_a(args), args.bits))
+    a = _code_a(args)
+    print(fib_decode(args.bits) if args.code == "fib" else decode(a, args.bits))
     return 0
 
 
@@ -179,9 +177,9 @@ def _cmd_table(args) -> int:
         if args.format == "csv":
             yield "a,n,code"
         for a in range(a_lo, a_hi + 1):
+            encode = codeword_encoder("gh", a)
             for n in range(n_lo, n_hi + 1):
-                outcome = encode_fast(a, n)
-                yield row.format(a, n, outcome.code if outcome is not None else "-")
+                yield row.format(a, n, encode(n) or "-")
 
     _write_lines(lines())
     return 0
@@ -288,20 +286,14 @@ def _gen_values(dist: str, count: int, seed: int) -> Iterator[int]:
 def _bench_encoder(spec: str) -> Callable[[int], str | None]:
     """The encoder a --codes spec names; it returns None for a value with no code."""
     if spec == "fib":
-        return fib_encode
+        return codeword_encoder("fib", 0)
     try:
         if not spec.startswith("gh:"):
             raise ValueError
         a = int(spec[3:])
     except ValueError:
         raise ValueError(f"codec spec must be 'fib' or 'gh:A', got {spec!r}") from None
-    gh_sequence(a)  # validates a <= -2
-
-    def encode_one(v: int) -> str | None:
-        outcome = encode_fast(a, v)
-        return outcome.code if outcome is not None else None
-
-    return encode_one
+    return codeword_encoder("gh", a)
 
 
 def _bench_one(
@@ -410,11 +402,7 @@ def _stdin_chunks(stream: TextIO) -> Iterator[Iterable[int]]:
 
 
 def _cmd_stream_pack(args) -> int:
-    if args.code == "gh":
-        a = _require_a(args)
-    else:
-        _require_no_a(args)
-        a = 0
+    a = _code_a(args)
     # chained in C, so no Python frame resumes per value
     values = args.values or chain.from_iterable(_stdin_chunks(sys.stdin))
     try:

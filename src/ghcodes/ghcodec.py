@@ -244,10 +244,8 @@ def encode_fast(a: int, n: int) -> EncodeOutcome | None:
 
 
 def exists(a: int, n: int) -> bool:
-    """True iff a code for n exists under parameter a: encode_fast without the code."""
-    entries, terms, _, _, r = _greedy_split(a, n)
-    n0 = terms[1] + terms[3]  # the cover 01010
-    return r in entries or (n >= n0 and _tail_greedy(terms, n - n0)[1] == 0)
+    """True iff a code for n exists under parameter a: encode_fast finds one."""
+    return encode_fast(a, n) is not None
 
 
 def _outcome_pairs(

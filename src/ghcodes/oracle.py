@@ -111,23 +111,31 @@ def all_codes(a: int, n: int) -> set[str]:
 def range_exists(a: int, n_max: int) -> int:
     """Every verdict for n in 1..n_max at once: bit n - 1 is set iff n has a code.
 
-    S(i), the set of sums of no-two-adjacent subsets of indices 1..i,
-    obeys S(i) = S(i-1) | (S(i-2) + term(i)): a subset either leaves i
-    out, or takes it and then leaves i - 1 out. S(-1) = S(0) = {0}, the
-    empty subset, so S(1) = {0, a}. term(1) = a is the only negative
-    term, so every sum is at least a; held as an int with bit s - a set
-    for each sum s, S(0) is 1 << -a and S(1) is S(0) | 1, and from then
-    on every term is a left shift. Sums past n_max are dropped by a mask
-    to bit n_max - a, since terms are never negative past index 1 and
-    so no subset comes back below n_max once past it. For the same
-    reason, indices from the search bound of n_max on add nothing: their
-    terms exceed n_max - a. n >= 1 has a code iff bit n - a of the last
-    S is set, the nonempty subsets summing to n being exactly its codes.
+    From a first index j, S(i), the set of sums of no-two-adjacent
+    subsets of indices j..i, obeys S(i) = S(i-1) | (S(i-2) + term(i)):
+    a subset either leaves i out, or takes it and then leaves i - 1
+    out. Each set is an int with bit s set for each sum s, so adding a
+    term is a left shift. Sums past n_max are dropped by a mask to bit
+    n_max, and a shift by more than n_max is skipped, so no int of more
+    than 2 * n_max + 1 bits is built, however negative a is.
+
+    term(1) = a is the only negative term, so the codes split in two.
+    Those without index 1 sum over indices 2 up, whose terms are all
+    positive, so a sum once past n_max never comes back: S starts at
+    {0}, the empty subset. Those with index 1 leave 2 out and sum to
+    a + T, T over indices 3 up. term(3) = 1 and term(4) = 2 - a, so T
+    is 0 or 1 for the subsets of {3} and at least 2 - a otherwise. The
+    first two give a sum below 1 and are not held; every other a + T is
+    at least 2, and only grows. So that set starts empty, and index
+    i >= 4 also adds a + term(i) plus each subset of {3} it leaves
+    free: {0} for i = 4 and {0, 1} from i = 5 on. n >= 1 has a code iff
+    bit n of either set is set. Indices from the search bound of n_max
+    on add nothing to either: their terms exceed n_max - a.
 
     Like the depth-first walk, this shares only the sequence cache
     with the encoders, and it raises SearchLimitError where
     oracle_exists(a, n_max) would, before any bitset grows. It holds a
-    few ints of n_max - a bits. Read the result in one pass, such as
+    few ints of about n_max bits. Read the result in one pass, such as
     format(bits, "b"); shifting it once per n takes time quadratic in
     n_max.
     """
@@ -135,8 +143,19 @@ def range_exists(a: int, n_max: int) -> int:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     seq = gh_sequence(a)
     terms = seq.prefix(_search_bound(seq, n_max) - 1)
-    mask = (1 << (n_max - a + 1)) - 1
-    before, sums = 1 << -a, (1 << -a) | 1
+    mask = (1 << n_max + 1) - 1
+
+    def shifted(sums: int, by: int) -> int:
+        return (sums << by) & mask if by <= n_max else 0
+
+    # without index 1, over indices 2 up; before and free are S(i - 2) and S(i - 1)
+    before, free = 1, 1
     for term in terms[1:]:
-        before, sums = sums, (sums | (before << term)) & mask
-    return sums >> (1 - a)
+        before, free = free, free | shifted(before, term)
+    # with index 1, over indices 3 up, holding only the sums of 2 or more
+    before, tied = 0, 0
+    loose = 1  # T over the subsets of {3} that index i leaves free: {0}, then {0, 1}
+    for term in terms[3:]:
+        before, tied = tied, tied | shifted(before, term) | shifted(loose, term + a)
+        loose = 3
+    return (free | tied) >> 1

@@ -53,7 +53,7 @@ codeword of 2 to 24 bits, so a memo holds at most 75,024 entries.
 """
 
 import struct
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from itertools import accumulate, chain, compress, islice, pairwise, repeat
 from operator import add, itemgetter
@@ -71,6 +71,7 @@ __all__ = [
     "PayloadError",
     "ResyncToken",
     "UnencodableValueError",
+    "codeword_encoder",
     "resync_decode",
     "stream_decode",
     "stream_encode",
@@ -123,55 +124,70 @@ class ResyncToken(NamedTuple):
     bit_span: tuple[int, int]
 
 
-def _pack_bits(bits: str) -> bytes:
-    if not bits:
-        return b""
-    nbytes = (len(bits) + 7) // 8
-    return (int(bits, 2) << (nbytes * 8 - len(bits))).to_bytes(nbytes, "big")
+def _sequence(codec_byte: int, a: int) -> GHSequence | FibSequence:
+    """The sequence a codec byte and a name; the rule both the writer and the reader apply."""
+    if codec_byte == CODEC_FIB:
+        if a != 0:
+            raise ValueError(f"a must be 0 for the fib codec, got {a}")
+        return fib_sequence()
+    if codec_byte == CODEC_GH:
+        return gh_sequence(a)  # raises for a > -2
+    raise ValueError(f"unknown codec byte {codec_byte:#04x}")
+
+
+def codeword_encoder(codec: str, a: int) -> Callable[[int], str | None]:
+    """The encoder codec ("fib" or "gh") and a name: it gives a value's codeword, or None.
+
+    Raises ValueError for an unknown codec or an a the codec does not
+    take. Only gh leaves values without a code.
+    """
+    if codec not in ("fib", "gh"):
+        raise ValueError(f"codec must be 'fib' or 'gh', got {codec!r}")
+    _sequence(CODEC_FIB if codec == "fib" else CODEC_GH, a)
+    # fib_encode and encode_fast are read from this module's globals at call
+    # time, so the ones the benchmark tracer (perfbench/tracer.py) patches in run
+    if codec == "fib":
+        return fib_encode
+
+    def encode_gh(n: int) -> str | None:
+        outcome = encode_fast(a, n)
+        return outcome.code if outcome is not None else None
+
+    return encode_gh
 
 
 def stream_encode(codec: str, a: int, values: Iterable[int]) -> bytes:
     """Build a document; byte output is deterministic for the same inputs."""
-    if codec == "fib":
-        if a != 0:
-            raise ValueError(f"a must be 0 for the fib codec, got {a}")
-        codec_byte = CODEC_FIB
-    elif codec == "gh":
-        if a < _A_MIN:
-            raise ValueError(f"parameter a must be >= {_A_MIN} to fit the header, got {a}")
-        gh_sequence(a)  # validates a <= -2
-        codec_byte = CODEC_GH
-    else:
-        raise ValueError(f"codec must be 'fib' or 'gh', got {codec!r}")
+    encode = codeword_encoder(codec, a)
+    if a < _A_MIN:
+        raise ValueError(f"parameter a must be >= {_A_MIN} to fit the header, got {a}")
     memo: dict[int, str] = {}
     payload = bytearray()
     count = bit_length = 0
     carry = ""
     unread = iter(values)
     while True:
-        words = []
+        words = [carry]
         for v in islice(unread, _BATCH_VALUES):
             code = memo.get(v)
             if code is None:
-                if codec_byte == CODEC_FIB:
-                    code = fib_encode(v)
-                else:
-                    outcome = encode_fast(a, v)
-                    if outcome is None:
-                        raise UnencodableValueError(v, a)
-                    code = outcome.code
+                code = encode(v)
+                if code is None:
+                    raise UnencodableValueError(v, a)
                 if len(code) <= _MEMO_MAX_BITS:
                     memo[v] = code
             words.append(code)
-        if not words:
+        if len(words) == 1:
             break
-        count += len(words)
-        bits = carry + "".join(words)
+        count += len(words) - 1
+        bits = "".join(words)
         bit_length += len(bits) - len(carry)
-        whole = len(bits) - len(bits) % 8
-        payload += _pack_bits(bits[:whole])
-        carry = bits[whole:]
-    payload += _pack_bits(carry)
+        tail = len(bits) % 8
+        payload += (int(bits, 2) >> tail).to_bytes(len(bits) // 8, "big")
+        carry = bits[len(bits) - tail :]
+    if carry:
+        payload.append(int(carry, 2) << 8 - len(carry))
+    codec_byte = CODEC_FIB if codec == "fib" else CODEC_GH
     return _HEADER.pack(MAGIC, VERSION, codec_byte, a, count, bit_length) + payload
 
 
@@ -184,13 +200,10 @@ def _parse_header(data: bytes) -> tuple[GHSequence | FibSequence, int, int, memo
         raise HeaderError(f"bad magic {magic!r}")
     if version != VERSION:
         raise HeaderError(f"unsupported version {version}")
-    if codec not in (CODEC_FIB, CODEC_GH):
-        raise HeaderError(f"unknown codec byte {codec:#04x}")
-    if codec == CODEC_FIB and a != 0:
-        raise HeaderError(f"a must be 0 for the fib codec, got {a}")
-    if codec == CODEC_GH and a > -2:
-        raise HeaderError(f"parameter a must be <= -2, got {a}")
-    seq = fib_sequence() if codec == CODEC_FIB else gh_sequence(a)
+    try:
+        seq = _sequence(codec, a)
+    except ValueError as exc:
+        raise HeaderError(str(exc)) from None
     # a view, so the payload is not copied
     return seq, count, bit_length, memoryview(data)[_HEADER.size :]
 

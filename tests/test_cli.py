@@ -47,6 +47,51 @@ def test_encode_requires_a_for_gh(capsys):
     assert code == 2 and "error" in err
 
 
+_NO_A = "error: --a is required for the gh code\n"
+_A_ABOVE = "error: parameter a must be <= -2, got {}\n"
+_FIB_A = "error: --a only applies to the gh code\n"
+_BAD_SPEC = "error: codec spec must be 'fib' or 'gh:A', got {!r}\n"
+
+
+@pytest.mark.parametrize("argv, status, message", [
+    (("encode", "7"), 2, _NO_A),
+    (("encode", "--a", "-1", "7"), 2, _A_ABOVE.format(-1)),
+    (("encode", "--a", "3", "7"), 2, _A_ABOVE.format(3)),
+    (("encode", "--code", "fib", "--a", "-2", "7"), 2, _FIB_A),
+    (("encode", "--code", "fib", "--a", "0", "7"), 2, _FIB_A),
+    (("encode", "--a", "-5", "5"), 1, "no code exists for n=5 at a=-5\n"),
+    (("decode", "0011"), 2, _NO_A),
+    (("decode", "--a", "-1", "0011"), 2, _A_ABOVE.format(-1)),
+    (("decode", "--a", "3", "0011"), 2, _A_ABOVE.format(3)),
+    (("decode", "--code", "fib", "--a", "-2", "0011"), 2, _FIB_A),
+    (("decode", "--code", "fib", "--a", "0", "0011"), 2, _FIB_A),
+    (("bench", "--dist", "constant:1", "--codes", "gh:x"), 2, _BAD_SPEC.format("gh:x")),
+    (("bench", "--dist", "constant:1", "--codes", "gh:"), 2, _BAD_SPEC.format("gh:")),
+    (("bench", "--dist", "constant:1", "--codes", "fib:0"), 2, _BAD_SPEC.format("fib:0")),
+    (("bench", "--dist", "constant:1", "--codes", "morse"), 2, _BAD_SPEC.format("morse")),
+    (("bench", "--dist", "constant:1", "--codes", "fib,gh:-1"), 2, _A_ABOVE.format(-1)),
+    (("bench", "--dist", "constant:1", "--codes", "gh:3"), 2, _A_ABOVE.format(3)),
+    (("bench", "--dist", "constant:1", "--codes", " , "), 2, "error: --codes selected no codecs\n"),
+])
+def test_codec_and_a_errors_are_pinned(capsys, argv, status, message):
+    assert run(capsys, *argv) == (status, "", message)
+
+
+@pytest.mark.parametrize("argv, status, message", [
+    ((), 2, _NO_A),
+    (("--a", "-1"), 2, _A_ABOVE.format(-1)),
+    (("--a", "3"), 2, _A_ABOVE.format(3)),
+    (("--code", "fib", "--a", "-2"), 2, _FIB_A),
+    (("--code", "fib", "--a", "0"), 2, _FIB_A),
+    (("--a", "-40000"), 2, "error: parameter a must be >= -32768 to fit the header, got -40000\n"),
+    (("--a", "-5"), 1, "error: no code exists for value 5 at a=-5\n"),
+])
+def test_stream_pack_codec_and_a_errors_are_pinned(tmp_path, capsys, argv, status, message):
+    path = tmp_path / "doc.ghc"
+    assert run(capsys, "stream-pack", *argv, "--out", str(path), "7", "5") == (status, "", message)
+    assert not path.exists()
+
+
 def test_decode(capsys):
     code, out, _ = run(capsys, "decode", "--a", "-6", "10000000001011")
     assert code == 0 and out.strip() == "649"

@@ -103,6 +103,36 @@ def test_range_oracle_rejects_a_hostile_n_max_before_it_grows(monkeypatch):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("a, n_max", [
+    (-1000, 5000), (-(2**15), 600), (-10**6, 600), (-10**12, 600), (-10**30, 600),
+])
+def test_range_oracle_equals_the_walk_for_huge_negative_a(a, n_max):
+    # at a = -1000 the range reaches past term(6) = 2005, so both kinds of code take tail terms
+    walked = (oracle._walk(a, n, lambda chosen: True) for n in range(1, n_max + 1))
+    assert _verdicts(a, n_max) == "".join("1" if found else "0" for found in walked)
+
+
+def test_range_oracle_at_a_huge_negative_a_holds_bits_of_n_max():
+    tracemalloc.start()
+    try:
+        range_exists(-10**30, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # bitsets of n_max - a bits would take about 10**29 bytes
+    assert peak < 2**14, peak
+
+
+def test_oracle_mode_and_verify_answer_a_huge_negative_a(capsys):
+    a = f"--a={-10**30}"
+    fast = _gaps_out(capsys, a, "--max-n", "10")
+    assert _gaps_out(capsys, a, "--max-n", "10", "--mode", "oracle") == fast
+    assert main(["verify", a, "--max-n", "10"]) == 0
+    assert capsys.readouterr().out == (
+        f"verify a={-10**30} n=1..10: pass (encodable 4, missing 6, disagreements 0)\n"
+    )
+
+
 def _expand(runs):
     return tuple(n for start, length in runs for n in range(start, start + length))
 

@@ -255,6 +255,47 @@ def test_a_outside_header_field_rejected_before_encoding():
         stream_encode("gh", -40000, values())
 
 
+def _writer_error(codec: str, a: int) -> str | None:
+    """The message stream_encode refuses codec and a with, or None if it accepts them."""
+    try:
+        stream_encode(codec, a, [])
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("codec_byte, a", product((0, 1, 2), (-32768, -3, -2, -1, 0, 3)))
+def test_reader_accepts_exactly_the_headers_the_writer_makes(codec_byte, a):
+    header = struct.pack("<4sBBhQQ", b"GHC1", 1, codec_byte, a, 0, 0)
+    written = _writer_error(("fib", "gh", "morse")[codec_byte], a)
+    try:
+        stream._parse_header(header)
+        read = None
+    except HeaderError as exc:
+        read = str(exc)
+    assert (written is None) == (read is None), (written, read)
+    if written is None:
+        assert stream_encode(("fib", "gh")[codec_byte], a, []) == header
+    elif codec_byte != 2:
+        assert written == read
+
+
+@pytest.mark.parametrize("codec, message", [
+    ("fib", "a must be 0 for the fib codec, got -40000"),
+    ("gh", "parameter a must be >= -32768 to fit the header, got -40000"),
+])
+def test_writer_alone_checks_an_a_outside_the_header_field(codec, message):
+    assert _writer_error(codec, -40000) == message
+
+
+def test_codeword_encoder_calls_the_encoders_the_module_holds_now(monkeypatch):
+    # perfbench/tracer.py patches stream.fib_encode and stream.encode_fast after import
+    monkeypatch.setattr(stream, "fib_encode", lambda n: "fib")
+    monkeypatch.setattr(stream, "encode_fast", lambda a, n: None)
+    assert stream.codeword_encoder("fib", 0)(7) == "fib"
+    assert stream.codeword_encoder("gh", -2)(7) is None
+
+
 def test_a_at_header_field_minimum_round_trips():
     blob = stream_encode("gh", -32768, [1, 4])
     assert int.from_bytes(blob[6:8], "little", signed=True) == -32768
