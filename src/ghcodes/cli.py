@@ -38,8 +38,8 @@ DEFAULT_SEED = 12345
 # a scan holds every run it finds, and for small k those grow with --max-n:
 # about 145 MiB peak RSS at a=-5 and this cap, 18 MiB at a=-1000
 _MAX_SCAN_N = 10**7
-# verify finishes both encoders' outcomes for every n from one greedy split
-# and decodes its code: 12.1 s at this cap for a=-7 in one run (2 vCPUs)
+# verify finishes both encoders' outcomes for every n from one greedy per leaf
+# and decodes its code: 5.2 s at this cap for a=-7, median of 5 runs (2 vCPUs)
 _MAX_VERIFY_N = 10**6
 # characters per read of stream-pack's stdin; reading line by line was slower
 _STDIN_CHUNK = 65536

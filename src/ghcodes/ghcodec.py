@@ -12,7 +12,7 @@ with, settles existence either way.
 """
 
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -153,39 +153,78 @@ def greedy_remaining(a: int, n: int) -> tuple[tuple[int, ...], int, int]:
     return picked, n - residual, residual
 
 
-def _assemble(prefix5: str, picked: tuple[int, ...]) -> str:
-    # cover on bits 1..5, then each pick from 6 up as its run of zeros
-    # and a 1, carry-rewrite only where a pair of ones shows, drop the
-    # trailing zeros a short cover leaves, and close the word
-    parts = [prefix5]
+def _tail_bits(picked: tuple[int, ...]) -> str:
+    """Bits 6 and up of a code: each pick, lowest first, as its run of zeros and a 1."""
+    parts = []
     j = 5
     for i in reversed(picked):
         parts.append("0" * (i - j - 1) + "1")
         j = i
-    raw = "".join(parts)
+    return "".join(parts)
+
+
+def _close(prefix5: str, tail: str) -> str:
+    # cover on bits 1..5, then the tail; carry-rewrite only where a pair
+    # of ones shows, drop the trailing zeros a short cover leaves, and
+    # close the word
+    raw = prefix5 + tail
     if "11" in raw:
         raw = normalize(raw)
     return to_codeword(trim_trailing_zeros(raw))
+
+
+def _assemble(prefix5: str, picked: tuple[int, ...]) -> str:
+    return _close(prefix5, _tail_bits(picked))
+
+
+def _resume(
+    terms: list[int], last: int, r: int, leftovers: Iterable[tuple[int, str]]
+) -> tuple[int, str, tuple[int, ...]] | None:
+    """The first (n0, cover) in leftovers, each above r, whose resumed greedy ends at 0.
+
+    The greedy on n - n0 takes the picks of n above last and then runs on
+    term(last) + r - n0 (encode_simple's docstring). Returns n0, its
+    cover and the picks below last, or None. The result depends only on
+    (last, r), not on the picks above last.
+    """
+    for n0, prefix in leftovers:
+        # the target is below term(last), so the greedy picks below last
+        rest, residual = _tail_greedy(terms, terms[last - 1] + r - n0)
+        if residual == 0:
+            return n0, prefix, rest
+    return None
+
+
+def _above(entries: dict[int, str], r: int) -> Iterator[tuple[int, str]]:
+    # entries ascend, so these are the leftovers above r in ascending order
+    return ((n0, prefix) for n0, prefix in entries.items() if n0 > r)
+
+
+def _resumed_outcome(
+    n: int,
+    above: tuple[int, ...],
+    found: tuple[int, str, tuple[int, ...]] | None,
+    used_fallback: bool,
+) -> EncodeOutcome | None:
+    """The outcome for n from a _resume result; above holds the picks of n over the last."""
+    if found is None:
+        return None
+    n0, prefix, rest = found
+    picks = above + rest
+    return EncodeOutcome(_assemble(prefix, picks), n0, n - n0, picks, used_fallback)
 
 
 def _finish_simple(
     entries: dict[int, str], terms: list[int], n: int, picked: tuple[int, ...], r: int
 ) -> EncodeOutcome | None:
     """encode_simple's outcome for n, given the tail greedy's picks and residual r on n."""
-    for n0, prefix in entries.items():  # ascending n0
-        if n0 < r:
-            continue
-        if n0 == r:
-            return EncodeOutcome(_assemble(prefix, picked), n0, n - n0, picked, False)
-        if not picked:
-            break
-        last = picked[-1]
-        # the target is below term(last), so the greedy picks below last
-        rest, residual = _tail_greedy(terms, terms[last - 1] + r - n0)
-        if residual == 0:
-            picks = picked[:-1] + rest
-            return EncodeOutcome(_assemble(prefix, picks), n0, n - n0, picks, False)
-    return None
+    prefix = entries.get(r)
+    if prefix is not None:
+        return EncodeOutcome(_assemble(prefix, picked), r, n - r, picked, False)
+    if not picked:
+        return None
+    found = _resume(terms, picked[-1], r, _above(entries, r))
+    return _resumed_outcome(n, picked[:-1], found, False)
 
 
 def encode_simple(a: int, n: int) -> EncodeOutcome | None:
@@ -253,20 +292,64 @@ def _outcome_pairs(
 ) -> Iterator[tuple[EncodeOutcome | None, EncodeOutcome | None]]:
     """(encode_simple(a, n), encode_fast(a, n)) for each n in 1..n_max, ascending.
 
-    One term lookup serves the range and one tail greedy each n. When
-    its residual has a cover the two outcomes are one: encode_simple
-    skips every smaller leftover and stops at that one, with the same
-    picks.
+    One term lookup serves the range, and the tail greedy runs once per
+    leaf of the residual word (missing_runs), not once per n. Say the
+    greedy on n picks p1 > ... > pm and leaves r, and let L be term(5)
+    if pm = 6 and term(6) otherwise, with no pick too. If r + 1 < L, the
+    greedy on n + 1 picks the same and leaves r + 1. By induction from
+    the lowest pick, with R(j) what is left after the first j picks:
+    R(m) + 1 = r + 1 is below term(6), where the greedy stops, and below
+    term(pm - 1). For j < m, R(j) + 1 < term(p(j + 1)) + term(p(j + 1) - 1)
+    = term(p(j + 1) + 1), at most term(pj - 1) as no two picks are
+    adjacent. So R(j - 1) + 1 = term(pj) + R(j) + 1 lies below
+    term(pj + 1), and the greedy takes pj again, up to R(0) + 1 = n + 1.
+    When r + 1 = L, n + 1 is the picks plus term(5) or term(6).
+    Carrying each adjacent pair up (term(i) + term(i - 1) = term(i + 1))
+    leaves non-adjacent indices >= 6, which the greedy takes back
+    exactly: a new leaf starts, with r = 0, and the greedy runs again.
+
+    Inside a leaf the picks and their tail bits stay fixed. When r has a
+    cover the two outcomes are one: encode_simple skips every smaller
+    leftover and stops at r, with the same picks. When it has none,
+    encode_simple resumes the greedy on term(pm) + r - n0 for each
+    leftover n0 > r in turn, and encode_fast's second attempt is the
+    same resume at n0 = f = term(2) + term(4) alone, a leftover above
+    every uncovered r. Both depend only on (pm, r), so a dict holds them
+    for the call: at most one entry per tail index and uncovered r.
+    With no pick, r = n and encode_simple has no leftover to resume.
     """
     entries = remainder_table(a).entries
     terms = _tail_terms(gh_sequence(a), n_max)
-    for n in range(1, n_max + 1):
+    fallback = ((terms[1] + terms[3], "01010"),)  # encode_fast's second attempt
+    resumed: dict[tuple[int, int], tuple] = {}
+    n = 1
+    while n <= n_max:
         picked, r = _tail_greedy(terms, n)
-        fast = _finish_fast(entries, terms, n, picked, r)
-        if r in entries:
-            yield fast, fast
-        else:
-            yield _finish_simple(entries, terms, n, picked, r), fast
+        start = n - r
+        end = start + (terms[4] if picked[-1:] == (6,) else terms[5])  # the leaf's end
+        above, tail = picked[:-1], _tail_bits(picked)
+        for n in range(n, min(end, n_max + 1)):
+            r = n - start
+            prefix = entries.get(r)
+            if prefix is not None:
+                out = EncodeOutcome(_close(prefix, tail), r, start, picked, False)
+                yield out, out
+            elif not picked:
+                yield None, _finish_fast(entries, terms, n, picked, r)
+            else:
+                key = picked[-1], r
+                found = resumed.get(key)
+                if found is None:
+                    found = resumed[key] = (
+                        _resume(terms, *key, _above(entries, r)),
+                        _resume(terms, *key, fallback),
+                    )
+                simple, fast = found
+                yield (  # no call where there is no code, the common case for large k
+                    simple and _resumed_outcome(n, above, simple, False),
+                    fast and _resumed_outcome(n, above, fast, True),
+                )
+        n = end
 
 
 def missing_runs(a: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:

@@ -1,6 +1,9 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ghcodes import ghcodec
 from ghcodes.bits import MalformedCodeError, normalize, to_codeword, trim_trailing_zeros, value
 from ghcodes.ghcodec import (
     EncodeOutcome,
@@ -244,6 +247,42 @@ def test_outcome_pairs_equal_both_encoders():
         for n, pair in enumerate(pairs, 1):
             assert pair == (encode_simple(a, n), encode_fast(a, n)), (a, n)
         assert n == 3000
+
+
+@pytest.mark.parametrize("a", [-2, -3, -4, -5, -7, -12, -40])
+def test_outcome_pairs_end_on_either_side_of_a_leaf_start(a):
+    # term(l) starts a leaf, so the last n is the leaf's last, its first or its second.
+    # Every walk runs to its end. Its last term(5) + term(6) + 2 pairs, at least the
+    # whole leaf before that start, are checked; the test above checks every pair up
+    # to 3000 (and CI up to 10^5)
+    seq = gh_sequence(a)
+    window = seq.term(5) + seq.term(6) + 2
+    for l in range(6, 26):
+        for n_max in (seq.term(l) - 1, seq.term(l), seq.term(l) + 1):
+            last = deque(enumerate(_outcome_pairs(a, n_max), 1), maxlen=window)
+            assert last[-1][0] == n_max
+            for n, pair in last:
+                assert pair == (encode_simple(a, n), encode_fast(a, n)), (a, n_max, n)
+
+
+def test_outcome_pairs_with_no_tail_pick():
+    # term(6) is far above n_max, so every n is its own residual
+    pairs = list(_outcome_pairs(-10**30, 10))
+    assert pairs == [(encode_simple(-10**30, n), encode_fast(-10**30, n)) for n in range(1, 11)]
+
+
+def test_outcome_pairs_run_the_tail_greedy_once_per_leaf(monkeypatch):
+    calls = 0
+
+    def counted(terms, target):
+        nonlocal calls
+        calls += 1
+        return _tail_greedy(terms, target)
+
+    monkeypatch.setattr(ghcodec, "_tail_greedy", counted)
+    list(_outcome_pairs(-7, 21085))
+    # one greedy per n and one per tried leftover made 64,650 calls
+    assert 0 < calls < 3000
 
 
 def test_universality_spot_checks():
