@@ -7,7 +7,8 @@ only adjacent pair of ones is its final two bits; that closing pair is
 what delimits codewords in a stream.
 """
 
-from itertools import compress
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import compress, repeat
 
 from ghcodes.sequences import FibSequence, GHSequence
 
@@ -20,6 +21,7 @@ __all__ = [
     "trim_trailing_zeros",
     "validate_codeword",
     "value",
+    "values",
 ]
 
 
@@ -37,9 +39,22 @@ class MalformedCodeError(ValueError):
 _ONES = bytes(int(byte == ord("1")) for byte in range(256))
 
 
+def values(terms: Sequence[int], words: Iterable[str]) -> Iterator[int]:
+    """Per word, the sum of terms[i] over the positions i holding "1"; "" gives 0.
+
+    terms must be at least as long as the longest word. The words are
+    evaluated in C-level maps (encode, translate to 0/1 bytes, compress
+    against the terms, sum), with no Python call per word, as they are
+    read from the iterator returned.
+    """
+    encoded = map(str.encode, words, repeat("ascii"), repeat("replace"))
+    return map(sum, map(compress, repeat(terms), map(bytes.translate, encoded, repeat(_ONES))))
+
+
 def value(seq: GHSequence | FibSequence, bits: str) -> int:
     """Sum of seq terms at the positions holding "1"; the empty string is 0."""
-    return sum(compress(seq.prefix(len(bits)), bits.encode("ascii", "replace").translate(_ONES)))
+    (n,) = values(seq.prefix(len(bits)), (bits,))
+    return n
 
 
 def normalize(bits: str) -> str:

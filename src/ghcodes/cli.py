@@ -20,7 +20,7 @@ from itertools import chain, islice, repeat, starmap
 from typing import NamedTuple, TextIO
 
 from ghcodes.fibcodec import fib_decode
-from ghcodes.ghcodec import _outcome_pairs, decode, missing_runs
+from ghcodes.ghcodec import _outcome_pairs, decode, decode_many, missing_runs
 # encode_fast, encode_simple and oracle_exists are unused here, but the
 # benchmark tracer (perfbench/tracer.py) patches these names when it installs
 from ghcodes.ghcodec import encode_fast, encode_simple  # noqa: F401
@@ -39,8 +39,12 @@ DEFAULT_SEED = 12345
 # about 145 MiB peak RSS at a=-5 and this cap, 18 MiB at a=-1000
 _MAX_SCAN_N = 10**7
 # verify finishes both encoders' outcomes for every n from one greedy per leaf
-# and decodes its code: 5.2 s at this cap for a=-7, median of 5 runs (2 vCPUs)
+# and decodes its codes in batches: 2.5 s at this cap for a=-7, median of 5
+# runs (2 vCPUs)
 _MAX_VERIFY_N = 10**6
+# codes verify decodes per decode_many call; 4096 ran no faster and held
+# about 0.5 MB more under tracemalloc at --max-n 40000
+_VERIFY_BATCH = 1024
 # characters per read of stream-pack's stdin; reading line by line was slower
 _STDIN_CHUNK = 65536
 # output lines joined into one write; with PYTHONUNBUFFERED set, each
@@ -135,6 +139,17 @@ def _write_lines(lines: Iterable[str]) -> None:
     while batch := list(islice(lines, _WRITE_LINES)):
         batch.append("")  # the newline after the last line
         sys.stdout.write("\n".join(batch))
+
+
+def _write_values(values: Iterable[int]) -> None:
+    """Write each value in decimal and a newline to stdout, _WRITE_LINES values per write.
+
+    One %-format per batch makes no string per value; it raises the same
+    ValueError as str() for a value past the interpreter's digit limit.
+    """
+    values = iter(values)
+    while batch := tuple(islice(values, _WRITE_LINES)):
+        sys.stdout.write("%d\n" * len(batch) % batch)
 
 
 def _expand_runs(
@@ -344,6 +359,8 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--max-n must be <= {_MAX_VERIFY_N}, got {args.max_n}")
     shown: list[str] = []  # the first 20 problems; the rest are only counted
     problems = encodable = 0
+    codes: list[str] = []  # each n's fast code, then its simple code where that differs
+    wanted: list[int] = []  # the n each code must decode to
 
     def problem(line: str) -> None:
         nonlocal problems
@@ -351,24 +368,41 @@ def _cmd_verify(args) -> int:
         if problems <= 20:
             shown.append(line)
 
+    def check() -> None:
+        """Decode the pending codes in one call and report each n with a code that is wrong."""
+        decoded = decode_many(a, codes)
+        if decoded != wanted:
+            for i, n in enumerate(wanted):
+                if i and wanted[i - 1] == n:
+                    continue  # a simple code, reported after the fast code of its n
+                if decoded[i] != n:
+                    problem(f"n={n}: fast code {codes[i]} decodes wrong")
+                # decode is a function of the string, so equal codes decode equal
+                j = i + 1 if wanted[i + 1 : i + 2] == [n] else i
+                if decoded[j] != n:
+                    problem(f"n={n}: simple code {codes[j]} decodes wrong")
+        codes.clear()
+        wanted.clear()
+
     verdicts = islice(reversed(_oracle_verdicts(a, args.max_n)), args.max_n)
     pairs = _outcome_pairs(a, args.max_n)
     for n, (verdict, (simple, fast)) in enumerate(zip(verdicts, pairs), 1):
         ground = verdict == "1"
         have = fast is not None
         if (simple is not None) != have or ground != have:
+            check()  # so that problems come out in the order of n
             problem(f"n={n}: simple={simple is not None} fast={have} oracle={ground}")
             continue
         if have:
             encodable += 1
-            decoded = decode(a, fast.code)
-            if decoded != n:
-                problem(f"n={n}: fast code {fast.code} decodes wrong")
-            # decode is a function of the string, so equal codes decode equal
+            codes.append(fast.code)
+            wanted.append(n)
             if simple.code != fast.code:
-                decoded = decode(a, simple.code)
-            if decoded != n:
-                problem(f"n={n}: simple code {simple.code} decodes wrong")
+                codes.append(simple.code)
+                wanted.append(n)
+            if len(codes) >= _VERIFY_BATCH - 1:  # one n adds at most two codes
+                check()
+    check()
     for line in shown:
         print(line, file=sys.stderr)
     status = "pass" if not problems else "FAIL"
@@ -431,7 +465,7 @@ def _cmd_stream_unpack(args) -> int:
         _write_lines(chain.from_iterable(starmap(_resync_lines, resync_decode(blob).chunks())))
     else:
         # stream_decode raises before it returns, so a bad file prints nothing
-        _write_lines(map(str, stream_decode(blob)))
+        _write_values(stream_decode(blob))
     return 0
 
 

@@ -12,17 +12,15 @@ with, settles existence either way.
 """
 
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
+from itertools import repeat
+from operator import itemgetter, sub
 from typing import NamedTuple
 
-from ghcodes.bits import (
-    from_codeword,
-    normalize,
-    to_codeword,
-    trim_trailing_zeros,
-    value,
-)
+from ghcodes.bits import from_codeword, normalize, value, values
+# unused here, but the benchmark tracer (perfbench/tracer.py) patches these names
+from ghcodes.bits import to_codeword, trim_trailing_zeros  # noqa: F401
 from ghcodes.sequences import CACHED_PARAMETERS, GHSequence, gh_sequence
 
 __all__ = [
@@ -30,6 +28,7 @@ __all__ = [
     "NonPositiveValueError",
     "RemainderTable",
     "decode",
+    "decode_many",
     "encode_fast",
     "encode_simple",
     "exists",
@@ -166,11 +165,16 @@ def _tail_bits(picked: tuple[int, ...]) -> str:
 def _close(prefix5: str, tail: str) -> str:
     # cover on bits 1..5, then the tail; carry-rewrite only where a pair
     # of ones shows, drop the trailing zeros a short cover leaves, and
-    # close the word
+    # close the word. Only a rewritten word can hold a pair, and only an
+    # empty one can fail to end in 1 once its zeros are gone
     raw = prefix5 + tail
-    if "11" in raw:
+    rewritten = "11" in raw
+    if rewritten:
         raw = normalize(raw)
-    return to_codeword(trim_trailing_zeros(raw))
+    word = raw.rstrip("0")
+    if not word or (rewritten and "11" in word):
+        raise ValueError(f"not a Zeckendorf bit string: {word!r}")
+    return word + "1"
 
 
 def _assemble(prefix5: str, picked: tuple[int, ...]) -> str:
@@ -421,3 +425,31 @@ def decode(a: int, code: str) -> int:
     if n < 1:
         raise NonPositiveValueError(n, code)
     return n
+
+
+_BODY = itemgetter(slice(None, -1))  # a codeword less its closing 1
+
+
+def decode_many(a: int, codes: Sequence[str]) -> list[int]:
+    """[decode(a, code) for code in codes], raising what that loop raises first.
+
+    The batch is checked at once, with no Python call per code, against
+    the rules of bits.validate_codeword: only "0" and "1", and the first
+    pair of ones at the end. One prefix of the terms then serves every
+    code, and every value must be >= 1. A code shorter than the closing
+    pair passes the pair check only as "0" or "1", and its value is 0.
+    Should any check fail, decode runs over the codes in order, so the
+    error is the one the first bad code gives.
+    """
+    lengths = list(map(len, codes))
+    if (
+        # a character other than "0" or "1" survives, as itself or as "?"
+        "".join(codes).encode("ascii", "replace").translate(None, b"01")
+        or list(map(str.find, codes, repeat("11"))) != list(map(sub, lengths, repeat(2)))
+    ):
+        return [decode(a, code) for code in codes]
+    terms = gh_sequence(a).prefix(max(lengths, default=1) - 1)
+    ns = list(values(terms, map(_BODY, codes)))
+    if min(ns, default=1) < 1:
+        return [decode(a, code) for code in codes]
+    return ns

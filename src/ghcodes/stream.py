@@ -46,20 +46,20 @@ rebuilds longer ones every time. The decoders evaluate a chunk's words
 together. They look the words up in the memo, which evaluates each
 distinct word once, until a word's codeword is longer than
 _MEMO_MAX_BITS bits. Then they evaluate every word of that chunk in
-C-level maps (encode, translate to 0/1 bytes, compress against one
-prefix of the terms, sum, add the closing term) and keep none, so no
-Python call is made per word. Each entry stands for a distinct
-codeword of 2 to 24 bits, so a memo holds at most 75,024 entries.
+the C-level maps of bits.values over one prefix of the terms, add the
+closing terms and keep none, so no Python call is made per word. Each
+entry stands for a distinct codeword of 2 to 24 bits, so a memo holds
+at most 75,024 entries.
 """
 
 import struct
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
-from itertools import accumulate, chain, compress, islice, pairwise, repeat
+from itertools import accumulate, chain, compress, islice, pairwise
 from operator import add, itemgetter
 from typing import NamedTuple
 
-from ghcodes.bits import _ONES, value
+from ghcodes.bits import value, values
 from ghcodes.fibcodec import fib_encode
 from ghcodes.ghcodec import encode_fast
 from ghcodes.sequences import FibSequence, GHSequence, fib_sequence, gh_sequence
@@ -235,9 +235,7 @@ class _WordValues(dict):
         except KeyError:
             # the sum of the terms at a piece's ones, plus its closing 1
             terms = self.seq.prefix(max(map(len, pieces)) + 1)
-            ones = map(bytes.translate, map(str.encode, pieces), repeat(_ONES))
-            sums = map(sum, map(compress, repeat(terms), ones))
-            return list(map(add, sums, map(terms.__getitem__, map(len, pieces))))
+            return list(map(add, values(terms, pieces), map(terms.__getitem__, map(len, pieces))))
 
 
 def _frames(payload: memoryview, avail: int) -> Iterator[tuple[int, list[str]]]:

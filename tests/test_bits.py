@@ -10,6 +10,7 @@ from ghcodes.bits import (
     trim_trailing_zeros,
     validate_codeword,
     value,
+    values,
 )
 from ghcodes.sequences import fib_sequence, gh_sequence
 
@@ -41,6 +42,14 @@ lookalikes = st.text(alphabet="0122 \u00b9\u0661\uff11\u00e9\ud800", max_size=40
 def test_value_equals_zip_loop_on_any_text(bits, a):
     for seq in (fib_sequence(), gh_sequence(a)):
         assert value(seq, bits) == _value_by_zip(seq, bits)
+
+
+@given(words=st.lists(st.text(max_size=60) | lookalikes, max_size=8), a=params)
+@settings(max_examples=300)
+def test_values_equals_value_per_word(words, a):
+    for seq in (fib_sequence(), gh_sequence(a)):
+        terms = seq.prefix(max(map(len, words), default=0))
+        assert list(values(terms, words)) == [value(seq, w) for w in words]
 
 
 def test_normalize_examples():

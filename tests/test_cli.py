@@ -378,8 +378,8 @@ def test_verify_reports_an_oracle_disagreement(capsys, monkeypatch):
 def test_verify_decodes_equal_codes_once(capsys, monkeypatch):
     # the two encoders agree on every code here, so each n costs one decode
     calls = []
-    real = cli.decode
-    monkeypatch.setattr(cli, "decode", lambda a, code: calls.append(code) or real(a, code))
+    real = cli.decode_many
+    monkeypatch.setattr(cli, "decode_many", lambda a, codes: calls.extend(codes) or real(a, codes))
     code, out, _ = run(capsys, "verify", "--a", "-7", "--max-n", "40")
     assert code == 0 and "encodable 29" in out
     assert len(calls) == 29
@@ -387,8 +387,9 @@ def test_verify_decodes_equal_codes_once(capsys, monkeypatch):
 
 def test_verify_reports_both_codes_when_equal_codes_decode_wrong(capsys, monkeypatch):
     # n = 30 has the code 00100011 from both encoders; one decode serves both checks
-    real = cli.decode
-    monkeypatch.setattr(cli, "decode", lambda a, code: real(a, code) + (code == "00100011"))
+    real = cli.decode_many
+    monkeypatch.setattr(cli, "decode_many", lambda a, codes: [
+        n + (code == "00100011") for n, code in zip(real(a, codes), codes)])
     code, out, err = run(capsys, "verify", "--a", "-7", "--max-n", "40")
     assert code == 1
     assert err == (
@@ -416,6 +417,28 @@ def test_verify_decodes_a_simple_code_that_differs(capsys, monkeypatch):
     assert out == (
         "verify a=-7 n=1..40: FAIL (encodable 29, missing 11, disagreements 1)\n"
     )
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("0010111", "interior adjacent ones (bit offset 4)"),
+    ("001\u00e90011", "invalid character '\u00e9' (bit offset 3)"),
+    ("1011", "codeword '1011' decodes to non-positive value -6"),
+])
+def test_verify_exits_2_on_the_first_malformed_code(capsys, monkeypatch, bad, message):
+    # n = 30 gets a bad fast code and n = 38 a bad simple code; the first one is reported
+    real = cli._outcome_pairs
+
+    def pairs(a, n_max):
+        for n, (simple, fast) in enumerate(real(a, n_max), 1):
+            if n == 30:
+                fast = fast._replace(code=bad)
+            elif n == 38:
+                simple = simple._replace(code="2")
+            yield simple, fast
+
+    monkeypatch.setattr(cli, "_outcome_pairs", pairs)
+    code, out, err = run(capsys, "verify", "--a", "-7", "--max-n", "40")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verify_memory_stays_flat():

@@ -12,6 +12,7 @@ from ghcodes.ghcodec import (
     _tail_greedy,
     _tail_terms,
     decode,
+    decode_many,
     encode_fast,
     encode_simple,
     exists,
@@ -175,6 +176,55 @@ def test_decode_examples():
         decode(-2, "11")
     with pytest.raises(MalformedCodeError):
         decode(-4, "10000000111")
+
+
+def _outcome(call, *args):
+    """call's result, or the type and message of the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _decode_each(a, codes):
+    return [decode(a, code) for code in codes]
+
+
+# every codeword: blocks "0" and "10" make every body with no pair that ends in 0
+codewords = st.lists(st.sampled_from(["0", "10"]), max_size=30).map(lambda b: "".join(b) + "11")
+# each broken rule, non-ASCII characters among them, and "11", below 1 for every a
+bad_codes = st.sampled_from(["", "1", "0", "10", "0\u0661", "0110011", "01010", "0012011",
+                             "00\u00e911", "0100111", "11", "1011"])
+
+
+@given(
+    a=params,
+    codes=st.lists(codewords, max_size=40)
+    | st.lists(codewords | bad_codes | st.text(alphabet="01", max_size=12) | st.text(max_size=6),
+               max_size=40),
+)
+@settings(max_examples=300)
+def test_decode_many_equals_decode_per_code(a, codes):
+    assert _outcome(decode_many, a, codes) == _outcome(_decode_each, a, codes)
+
+
+@pytest.mark.parametrize("bad", ["", "0", "1", "2", "\u00e9", "00\u00e911", "0\u066111", "0110011",
+                                 "010100", "0010", "11", "1011"])
+def test_decode_many_raises_what_the_first_bad_code_raises(bad):
+    # the bad code alone breaks a rule, so no other code sends the batch to decode
+    codes = ["0011", "10011", bad, "011"]
+    expected = _outcome(_decode_each, -7, codes)
+    assert isinstance(expected, tuple)  # each of these codes raises at a = -7
+    assert _outcome(decode_many, -7, codes) == expected
+    assert _outcome(decode_many, -7, codes + ["2", "11"]) == expected
+
+
+def test_decode_many_checks_a_good_batch_without_decode(monkeypatch):
+    codes = [encode_fast(-7, n).code for n in range(1000, 3000) if exists(-7, n)]
+    expected = _decode_each(-7, codes)
+    monkeypatch.setattr(ghcodec, "decode", None)
+    assert decode_many(-7, codes) == expected
+    assert decode_many(-7, []) == []
 
 
 def test_outcome_split_invariant():
