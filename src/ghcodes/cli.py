@@ -8,7 +8,6 @@ does; nothing is printed to stderr then.
 """
 
 import argparse
-import json
 import math
 import os
 import random
@@ -16,11 +15,11 @@ import re
 import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, compress, islice, repeat, starmap
 from typing import NamedTuple, TextIO
 
 from ghcodes.fibcodec import fib_decode
-from ghcodes.ghcodec import _outcome_pairs, decode, decode_many, missing_runs
+from ghcodes.ghcodec import _leaf_codes, decode, decode_many, missing_runs
 # encode_fast, encode_simple and oracle_exists are unused here, but the
 # benchmark tracer (perfbench/tracer.py) patches these names when it installs
 from ghcodes.ghcodec import encode_fast, encode_simple  # noqa: F401
@@ -38,13 +37,16 @@ DEFAULT_SEED = 12345
 # a scan holds every run it finds, and for small k those grow with --max-n:
 # about 145 MiB peak RSS at a=-5 and this cap, 18 MiB at a=-1000
 _MAX_SCAN_N = 10**7
-# verify finishes both encoders' outcomes for every n from one greedy per leaf
-# and decodes its codes in batches: 2.5 s at this cap for a=-7, median of 5
-# runs (2 vCPUs)
+# verify builds both encoders' codes a leaf at a time, from one template per
+# lowest pick, and decodes them in batches: 2.6 s at this cap for a=-7,
+# median of 5 runs (2 vCPUs)
 _MAX_VERIFY_N = 10**6
-# codes verify decodes per decode_many call; 4096 ran no faster and held
-# about 0.5 MB more under tracemalloc at --max-n 40000
+# verify calls decode_many once this many codes are pending, at the end of
+# the leaf that reaches it; 4096 ran no faster and held about 0.5 MB more
+# under tracemalloc at --max-n 40000
 _VERIFY_BATCH = 1024
+# "1" where a leaf has a code for n, "0" where not, as the oracle's verdicts read
+_BIT = ("0", "1").__getitem__
 # characters per read of stream-pack's stdin; reading line by line was slower
 _STDIN_CHUNK = 65536
 # output lines joined into one write; with PYTHONUNBUFFERED set, each
@@ -224,6 +226,8 @@ def gap_scan(a: int, n_max: int, mode: str) -> tuple[tuple[int, int], ...]:
 
 
 def _cmd_gaps(args) -> int:
+    import json  # this command's alone; the other children skip its import
+
     if args.max_n < 1:
         raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
     if args.max_n > _MAX_SCAN_N:
@@ -384,24 +388,32 @@ def _cmd_verify(args) -> int:
         codes.clear()
         wanted.clear()
 
-    verdicts = islice(reversed(_oracle_verdicts(a, args.max_n)), args.max_n)
-    pairs = _outcome_pairs(a, args.max_n)
-    for n, (verdict, (simple, fast)) in enumerate(zip(verdicts, pairs), 1):
-        ground = verdict == "1"
-        have = fast is not None
-        if (simple is not None) != have or ground != have:
-            check()  # so that problems come out in the order of n
-            problem(f"n={n}: simple={simple is not None} fast={have} oracle={ground}")
-            continue
-        if have:
-            encodable += 1
-            codes.append(fast.code)
-            wanted.append(n)
-            if simple.code != fast.code:
-                codes.append(simple.code)
-                wanted.append(n)
-            if len(codes) >= _VERIFY_BATCH - 1:  # one n adds at most two codes
-                check()
+    verdicts = _oracle_verdicts(a, args.max_n)
+    end = args.max_n + 2  # n's verdict is character end - 1 - n
+    for n, simple, fast in _leaf_codes(a, args.max_n):
+        stop = n + len(fast)
+        ground = verdicts[end - stop : end - n][::-1]
+        if simple is fast and "".join(map(_BIT, map(bool, fast))) == ground:
+            encodable += ground.count("1")
+            codes += filter(None, fast)
+            wanted += compress(range(n, stop), fast)
+        else:  # n by n, for its lines and for the simple codes that differ
+            for n, verdict, simple, fast in zip(range(n, stop), ground, simple, fast):
+                ground = verdict == "1"
+                have = fast is not None
+                if (simple is not None) != have or ground != have:
+                    check()  # so that problems come out in the order of n
+                    problem(f"n={n}: simple={simple is not None} fast={have} oracle={ground}")
+                    continue
+                if have:
+                    encodable += 1
+                    codes.append(fast)
+                    wanted.append(n)
+                    if simple != fast:
+                        codes.append(simple)
+                        wanted.append(n)
+        if len(codes) >= _VERIFY_BATCH:
+            check()
     check()
     for line in shown:
         print(line, file=sys.stderr)

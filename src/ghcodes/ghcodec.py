@@ -204,20 +204,6 @@ def _above(entries: dict[int, str], r: int) -> Iterator[tuple[int, str]]:
     return ((n0, prefix) for n0, prefix in entries.items() if n0 > r)
 
 
-def _resumed_outcome(
-    n: int,
-    above: tuple[int, ...],
-    found: tuple[int, str, tuple[int, ...]] | None,
-    used_fallback: bool,
-) -> EncodeOutcome | None:
-    """The outcome for n from a _resume result; above holds the picks of n over the last."""
-    if found is None:
-        return None
-    n0, prefix, rest = found
-    picks = above + rest
-    return EncodeOutcome(_assemble(prefix, picks), n0, n - n0, picks, used_fallback)
-
-
 def _finish_simple(
     entries: dict[int, str], terms: list[int], n: int, picked: tuple[int, ...], r: int
 ) -> EncodeOutcome | None:
@@ -228,7 +214,11 @@ def _finish_simple(
     if not picked:
         return None
     found = _resume(terms, picked[-1], r, _above(entries, r))
-    return _resumed_outcome(n, picked[:-1], found, False)
+    if found is None:
+        return None
+    n0, prefix, rest = found
+    picks = picked[:-1] + rest
+    return EncodeOutcome(_assemble(prefix, picks), n0, n - n0, picks, False)
 
 
 def encode_simple(a: int, n: int) -> EncodeOutcome | None:
@@ -291,10 +281,50 @@ def exists(a: int, n: int) -> bool:
     return encode_fast(a, n) is not None
 
 
-def _outcome_pairs(
-    a: int, n_max: int
-) -> Iterator[tuple[EncodeOutcome | None, EncodeOutcome | None]]:
-    """(encode_simple(a, n), encode_fast(a, n)) for each n in 1..n_max, ascending.
+_LEAF_SLICE = 4096  # n per list _leaf_codes yields; a longer leaf comes in slices
+
+
+def _leaf_template(
+    entries: dict[int, str], terms: list[int], pm: int, length: int
+) -> tuple[list[str | None], list[tuple]]:
+    """What every leaf with lowest pick pm shares, for its residuals 0..length - 1.
+
+    plain[r] is the cover of r where the code is cover + tail + "1" for
+    the leaf's tail bits, else None: a cover with no pair of ones, which
+    ends in 0 when pm = 6, the one lowest pick whose tail bits start with
+    1. The tail ends in 1 and holds no pair, so _close would strip and
+    carry nothing and return that same string.
+    fixups lists (r, cover, fast, simple) for the other residuals that
+    have a code: a cover _close carry-rewrites, or, for an uncovered r,
+    the _resume results of encode_fast's second attempt and of
+    encode_simple, with simple the same object as fast when they agree.
+    """
+    fallback = ((terms[1] + terms[3], "01010"),)  # encode_fast's second attempt
+    plain: list[str | None] = []
+    fixups: list[tuple] = []
+    for r in range(length):
+        cover = entries.get(r)
+        if cover is None:
+            plain.append(None)
+            fast = _resume(terms, pm, r, fallback)
+            simple = _resume(terms, pm, r, _above(entries, r))
+            if fast or simple:
+                fixups.append((r, None, fast, fast if simple == fast else simple))
+        elif "11" in cover or (pm == 6 and cover[-1] == "1"):
+            plain.append(None)
+            fixups.append((r, cover, None, None))
+        else:
+            plain.append(cover)
+    return plain, fixups
+
+
+def _leaf_codes(a: int, n_max: int) -> Iterator[tuple[int, list, list]]:
+    """(first_n, simple, fast) per leaf of the greedy residual met by 1..n_max, ascending.
+
+    fast[i] is the code encode_fast(a, first_n + i) gives and simple[i]
+    the one encode_simple gives, None where there is none; simple is
+    fast when every simple code equals the fast one. A leaf longer than
+    _LEAF_SLICE n comes as slices of that many, each with its first n.
 
     One term lookup serves the range, and the tail greedy runs once per
     leaf of the residual word (missing_runs), not once per n. Say the
@@ -313,47 +343,61 @@ def _outcome_pairs(
     exactly: a new leaf starts, with r = 0, and the greedy runs again.
 
     Inside a leaf the picks and their tail bits stay fixed. When r has a
-    cover the two outcomes are one: encode_simple skips every smaller
+    cover the two codes are one: encode_simple skips every smaller
     leftover and stops at r, with the same picks. When it has none,
     encode_simple resumes the greedy on term(pm) + r - n0 for each
     leftover n0 > r in turn, and encode_fast's second attempt is the
     same resume at n0 = f = term(2) + term(4) alone, a leftover above
-    every uncovered r. Both depend only on (pm, r), so a dict holds them
-    for the call: at most one entry per tail index and uncovered r.
-    With no pick, r = n and encode_simple has no leftover to resume.
+    every uncovered r. Both depend only on (pm, r). So one template per
+    pm (_leaf_template), built at its first leaf, which meets the most
+    residuals, serves every leaf: the plain codes are its covers with
+    the tail appended, and only its fixups go through _close. With no
+    pick, r = n and encode_simple has no leftover to resume.
     """
     entries = remainder_table(a).entries
     terms = _tail_terms(gh_sequence(a), n_max)
-    fallback = ((terms[1] + terms[3], "01010"),)  # encode_fast's second attempt
-    resumed: dict[tuple[int, int], tuple] = {}
-    n = 1
-    while n <= n_max:
-        picked, r = _tail_greedy(terms, n)
-        start = n - r
-        end = start + (terms[4] if picked[-1:] == (6,) else terms[5])  # the leaf's end
-        above, tail = picked[:-1], _tail_bits(picked)
-        for n in range(n, min(end, n_max + 1)):
-            r = n - start
-            prefix = entries.get(r)
-            if prefix is not None:
-                out = EncodeOutcome(_close(prefix, tail), r, start, picked, False)
-                yield out, out
-            elif not picked:
-                yield None, _finish_fast(entries, terms, n, picked, r)
-            else:
-                key = picked[-1], r
-                found = resumed.get(key)
-                if found is None:
-                    found = resumed[key] = (
-                        _resume(terms, *key, _above(entries, r)),
-                        _resume(terms, *key, fallback),
-                    )
-                simple, fast = found
-                yield (  # no call where there is no code, the common case for large k
-                    simple and _resumed_outcome(n, above, simple, False),
-                    fast and _resumed_outcome(n, above, fast, True),
-                )
-        n = end
+    # the first leaf, with no pick: r = n, and encode_fast finishes each n
+    stop = min(terms[5], n_max + 1)
+    for lo in range(1, stop, _LEAF_SLICE):
+        ns = range(lo, min(lo + _LEAF_SLICE, stop))
+        fast = [out and out.code for out in map(
+            _finish_fast, repeat(entries), repeat(terms), ns, repeat(()), ns)]
+        simple = [code if n in entries else None for n, code in zip(ns, fast)]
+        yield lo, fast if simple == fast else simple, fast
+    templates: dict[int, tuple[list[str | None], list[tuple]]] = {}
+    start = terms[5]
+    while start <= n_max:
+        picked, _ = _tail_greedy(terms, start)  # a leaf starts here, with r = 0
+        pm = picked[-1]
+        leaf = terms[4] if pm == 6 else terms[5]
+        length = min(leaf, n_max + 1 - start)  # the residuals met
+        template = templates.get(pm)
+        if template is None:
+            template = templates[pm] = _leaf_template(entries, terms, pm, length)
+        plain, fixups = template
+        tail = _tail_bits(picked)
+        tail1, above = tail + "1", picked[:-1]
+        for lo in range(0, length, _LEAF_SLICE):
+            hi = min(lo + _LEAF_SLICE, length)
+            fast = [p and p + tail1 for p in plain[lo:hi]]
+            odd = []  # (index, simple code) where the simple code differs
+            for r, cover, found, other in fixups:
+                if not lo <= r < hi:
+                    continue
+                i = r - lo
+                if cover is not None:
+                    fast[i] = _close(cover, tail)
+                    continue
+                code = fast[i] = found and _assemble(found[1], above + found[2])
+                if other is not found:
+                    alt = other and _assemble(other[1], above + other[2])
+                    if alt != code:
+                        odd.append((i, alt))
+            simple = fast.copy() if odd else fast
+            for i, code in odd:
+                simple[i] = code
+            yield start + lo, simple, fast
+        start += leaf
 
 
 def missing_runs(a: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:

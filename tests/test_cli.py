@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -288,7 +289,7 @@ def test_gaps_rejects_unknown_mode(capsys, monkeypatch):
 
 
 def test_verify_max_n_cap_exits_before_checking(capsys, monkeypatch):
-    for name in ("range_exists", "_outcome_pairs", "encode_simple", "encode_fast"):
+    for name in ("range_exists", "_leaf_codes", "encode_simple", "encode_fast"):
         monkeypatch.setattr(cli, name, lambda *args, **kw: pytest.fail("checked"))
     code, out, err = run(capsys, "verify", "--a", "-7", "--max-n", str(10**6 + 1))
     assert (code, out) == (2, "")
@@ -401,22 +402,51 @@ def test_verify_reports_both_codes_when_equal_codes_decode_wrong(capsys, monkeyp
     )
 
 
+def _with_codes(walk, simple_at=None, fast_at=None):
+    """A _leaf_codes stand-in: walk's leaves with the codes of some n replaced.
+
+    simple_at and fast_at map n to the code put in its place; a leaf that
+    gets a simple code of its own gets its own simple list.
+    """
+    simple_at, fast_at = simple_at or {}, fast_at or {}
+
+    def leaves(a, n_max):
+        for first, simple, fast in walk(a, n_max):
+            ns = range(first, first + len(fast))
+            if any(n in simple_at for n in ns):
+                simple = [simple_at.get(n, code) for n, code in zip(ns, simple)]
+            if any(n in fast_at for n in ns):
+                fast = [fast_at.get(n, code) for n, code in zip(ns, fast)]
+            yield first, simple, fast
+
+    return leaves
+
+
 def test_verify_decodes_a_simple_code_that_differs(capsys, monkeypatch):
     # a simple code other than the fast one is decoded on its own: here n = 30
     # gets the code of 31, which decodes to 31
-    real = cli._outcome_pairs
-
-    def pairs(a, n_max):
-        for n, (simple, fast) in enumerate(real(a, n_max), 1):
-            yield (encode_simple(a, n + 1) if n == 30 else simple), fast
-
-    monkeypatch.setattr(cli, "_outcome_pairs", pairs)
+    walk = _with_codes(cli._leaf_codes, simple_at={30: encode_simple(-7, 31).code})
+    monkeypatch.setattr(cli, "_leaf_codes", walk)
     code, out, err = run(capsys, "verify", "--a", "-7", "--max-n", "40")
     assert code == 1
     assert err == "n=30: simple code 10010011 decodes wrong\n"
     assert out == (
         "verify a=-7 n=1..40: FAIL (encodable 29, missing 11, disagreements 1)\n"
     )
+
+
+def test_verify_decodes_equal_codes_once_from_separate_lists(capsys, monkeypatch):
+    # a leaf whose simple list is its own but holds the same codes is checked
+    # n by n, and still each n costs one decode
+    walk = cli._leaf_codes
+    monkeypatch.setattr(cli, "_leaf_codes", lambda a, n_max: (
+        (first, list(simple), fast) for first, simple, fast in walk(a, n_max)))
+    calls = []
+    real = cli.decode_many
+    monkeypatch.setattr(cli, "decode_many", lambda a, codes: calls.extend(codes) or real(a, codes))
+    code, out, _ = run(capsys, "verify", "--a", "-7", "--max-n", "40")
+    assert code == 0 and "encodable 29" in out
+    assert len(calls) == 29
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -426,19 +456,35 @@ def test_verify_decodes_a_simple_code_that_differs(capsys, monkeypatch):
 ])
 def test_verify_exits_2_on_the_first_malformed_code(capsys, monkeypatch, bad, message):
     # n = 30 gets a bad fast code and n = 38 a bad simple code; the first one is reported
-    real = cli._outcome_pairs
-
-    def pairs(a, n_max):
-        for n, (simple, fast) in enumerate(real(a, n_max), 1):
-            if n == 30:
-                fast = fast._replace(code=bad)
-            elif n == 38:
-                simple = simple._replace(code="2")
-            yield simple, fast
-
-    monkeypatch.setattr(cli, "_outcome_pairs", pairs)
+    walk = _with_codes(cli._leaf_codes, simple_at={38: "2"}, fast_at={30: bad})
+    monkeypatch.setattr(cli, "_leaf_codes", walk)
     code, out, err = run(capsys, "verify", "--a", "-7", "--max-n", "40")
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_verify_reports_flipped_oracle_bits_inside_a_good_leaf(capsys, monkeypatch):
+    # 1000 starts a short leaf at a = -7, where r = 3 (n = 1003) has a code through
+    # _close's carry and r = 5 (n = 1005) has none; the lines are the ones n-by-n
+    # checking printed, and the leaf's other codes are still decoded
+    real = cli.range_exists
+    monkeypatch.setattr(cli, "range_exists",
+                        lambda a, n_max: real(a, n_max) ^ (1 << 1002) ^ (1 << 1004))
+    decoded = []
+    real_many = cli.decode_many
+    monkeypatch.setattr(cli, "decode_many",
+                        lambda a, codes: decoded.extend(codes) or real_many(a, codes))
+    code, out, err = run(capsys, "verify", "--a", "-7", "--max-n", "1100")
+    assert code == 1
+    assert err == (
+        "n=1003: simple=True fast=True oracle=False\n"
+        "n=1005: simple=False fast=False oracle=True\n"
+    )
+    assert out == (
+        "verify a=-7 n=1..1100: FAIL (encodable 784, missing 316, disagreements 2)\n"
+    )
+    assert len(decoded) == 784
+    assert sorted(map(cli.decode, repeat(-7), decoded)) == [
+        n for n in range(1, 1101) if exists(-7, n) and n != 1003]
 
 
 def test_verify_memory_stays_flat():
@@ -447,6 +493,20 @@ def test_verify_memory_stays_flat():
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["verify", "--a", "-7", "--max-n", "40000"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("a, n_max", [(-5000, 40000), (-100000, 200000)])
+def test_verify_memory_stays_flat_over_long_leaves(a, n_max):
+    # a template's fixups hold only the uncovered residuals that have a code,
+    # and a leaf of 200,000 n comes in slices (whole, it peaked at 5.7 MB)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "--a", str(a), "--max-n", str(n_max)]) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

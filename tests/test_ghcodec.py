@@ -8,7 +8,7 @@ from ghcodes.bits import MalformedCodeError, normalize, to_codeword, trim_traili
 from ghcodes.ghcodec import (
     EncodeOutcome,
     NonPositiveValueError,
-    _outcome_pairs,
+    _leaf_codes,
     _tail_greedy,
     _tail_terms,
     decode,
@@ -291,34 +291,49 @@ def test_encode_simple_equals_restart_per_leftover_on_large_n(a, n):
     assert encode_simple(a, n) == _restart_per_leftover(a, n)
 
 
+def _code(outcome):
+    return outcome and outcome.code
+
+
+def _walk_pairs(a, n_max):
+    """(n, simple code, fast code) for n in 1..n_max, read off _leaf_codes."""
+    n = 1
+    for first, simple, fast in _leaf_codes(a, n_max):
+        assert first == n and len(simple) == len(fast) > 0
+        assert (simple is fast) == (simple == fast)
+        yield from zip(range(first, first + len(fast)), simple, fast)
+        n += len(fast)
+    assert n == n_max + 1
+
+
 def test_outcome_pairs_equal_both_encoders():
     for a in range(-40, -1):
-        pairs = _outcome_pairs(a, 3000)
-        for n, pair in enumerate(pairs, 1):
-            assert pair == (encode_simple(a, n), encode_fast(a, n)), (a, n)
-        assert n == 3000
+        for n, simple, fast in _walk_pairs(a, 3000):
+            assert (simple, fast) == (_code(encode_simple(a, n)), _code(encode_fast(a, n))), (a, n)
 
 
 @pytest.mark.parametrize("a", [-2, -3, -4, -5, -7, -12, -40])
 def test_outcome_pairs_end_on_either_side_of_a_leaf_start(a):
     # term(l) starts a leaf, so the last n is the leaf's last, its first or its second.
-    # Every walk runs to its end. Its last term(5) + term(6) + 2 pairs, at least the
-    # whole leaf before that start, are checked; the test above checks every pair up
-    # to 3000 (and CI up to 10^5)
+    # Every walk runs to its end. Its last term(5) + term(6) + 2 codes, at least the
+    # whole leaf before that start, are checked; the test above checks every code
+    # up to 3000 (and CI up to 10^5)
     seq = gh_sequence(a)
     window = seq.term(5) + seq.term(6) + 2
     for l in range(6, 26):
         for n_max in (seq.term(l) - 1, seq.term(l), seq.term(l) + 1):
-            last = deque(enumerate(_outcome_pairs(a, n_max), 1), maxlen=window)
+            last = deque(_walk_pairs(a, n_max), maxlen=window)
             assert last[-1][0] == n_max
-            for n, pair in last:
-                assert pair == (encode_simple(a, n), encode_fast(a, n)), (a, n_max, n)
+            for n, simple, fast in last:
+                assert (simple, fast) == (
+                    _code(encode_simple(a, n)), _code(encode_fast(a, n))), (a, n_max, n)
 
 
 def test_outcome_pairs_with_no_tail_pick():
     # term(6) is far above n_max, so every n is its own residual
-    pairs = list(_outcome_pairs(-10**30, 10))
-    assert pairs == [(encode_simple(-10**30, n), encode_fast(-10**30, n)) for n in range(1, 11)]
+    pairs = [(simple, fast) for _, simple, fast in _walk_pairs(-10**30, 10)]
+    assert pairs == [(_code(encode_simple(-10**30, n)), _code(encode_fast(-10**30, n)))
+                     for n in range(1, 11)]
 
 
 def test_outcome_pairs_run_the_tail_greedy_once_per_leaf(monkeypatch):
@@ -330,9 +345,65 @@ def test_outcome_pairs_run_the_tail_greedy_once_per_leaf(monkeypatch):
         return _tail_greedy(terms, target)
 
     monkeypatch.setattr(ghcodec, "_tail_greedy", counted)
-    list(_outcome_pairs(-7, 21085))
-    # one greedy per n and one per tried leftover made 64,650 calls
-    assert 0 < calls < 3000
+    leaves = sum(1 for _ in _leaf_codes(-7, 21085))
+    # one greedy per n and one per tried leftover made 64,650 calls; the rest
+    # over one per leaf are the templates' resumes, one per (lowest pick, r)
+    assert 1000 < leaves < calls < 3000
+
+
+@pytest.mark.parametrize("a", [-5, -7, -12])
+def test_leaf_codes_give_simple_its_own_list_where_it_differs(monkeypatch, a):
+    # with no leftover above r to resume from, encode_simple has no code where
+    # encode_fast's second attempt finds one; those leaves get a simple list of
+    # their own, and their fast lists stay as they were
+    fast_codes = [fast for _, _, fast in _walk_pairs(a, 3000)]
+    monkeypatch.setattr(ghcodec, "_above", lambda entries, r: iter(()))
+    assert [fast for _, _, fast in _walk_pairs(a, 3000)] == fast_codes
+    assert any(simple is not fast for _, simple, fast in _leaf_codes(a, 3000))
+    for n, simple, fast in _walk_pairs(a, 3000):
+        assert (simple, fast) == (_code(encode_simple(a, n)), _code(encode_fast(a, n))), n
+
+
+def _leaf_of(a, r, pm_is_6):
+    """The first n above term(8) whose greedy leaves r, in a leaf with or without pick 6."""
+    n = gh_sequence(a).term(8)
+    while True:
+        picks, _, residual = greedy_remaining(a, n)
+        if residual == r and (picks[-1] == 6) == pm_is_6:
+            return n, picks
+        n += 1
+
+
+@pytest.mark.parametrize("a, r, pm_is_6", [
+    *((a, r, False) for a in (-4, -5, -7, -12, -40) for r in (-a + 5, -a + 6)),
+    *((a, r, True) for a in (-3, -4, -5, -7, -12, -40) for r in (3, 4)),
+    (-2, 3, True),  # a = -2 covers 4 with 00010
+])
+def test_leaf_codes_carry_where_the_cover_meets_a_pair(a, r, pm_is_6):
+    # rows k + 9 and k + 10 hold a pair of ones, and under pick 6 the tail starts
+    # with 1, so the covers 10001 (r = 3) and 10101 (r = 4) meet it: these codes
+    # are not cover + tail + "1", and must still equal both encoders'
+    n, picks = _leaf_of(a, r, pm_is_6)
+    cover = remainder_table(a).entries[r]
+    assert "11" in cover + ghcodec._tail_bits(picks)
+    simple, fast = next((s, f) for m, s, f in _walk_pairs(a, n) if m == n)
+    assert simple == fast == encode_simple(a, n).code == encode_fast(a, n).code
+    assert fast != cover + ghcodec._tail_bits(picks) + "1"
+
+
+@pytest.mark.parametrize("a, n_max", [
+    (-7, 3), (-7, 17), (-7, 100), (-40, 60), (-40, 1000), (-10**30, 10), (-2, 777),
+])
+@pytest.mark.parametrize("size", [1, 2, 5, 64])
+def test_leaf_codes_slice_a_leaf_cut_by_n_max_at_both_ends(monkeypatch, a, n_max, size):
+    # the first leaf starts at n = 1, past its r = 0, and n_max ends the last one
+    # inside; slices of size n cut every longer leaf at both ends as well
+    whole = list(_walk_pairs(a, n_max))
+    monkeypatch.setattr(ghcodec, "_LEAF_SLICE", size)
+    assert all(len(fast) <= size for _, _, fast in _leaf_codes(a, n_max))
+    assert list(_walk_pairs(a, n_max)) == whole
+    assert whole == [(n, _code(encode_simple(a, n)), _code(encode_fast(a, n)))
+                     for n in range(1, n_max + 1)]
 
 
 def test_universality_spot_checks():
