@@ -12,7 +12,7 @@ with, settles existence either way.
 """
 
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter, sub
@@ -109,7 +109,7 @@ def _tail_terms(seq: GHSequence, n: int) -> list[int]:
 
     The list holds every term the tail greedy can pick for a target of
     at most n, so one lookup serves every greedy run of one encode, or
-    of every n in a range that ends at n.
+    of every n in a range that ends at n. Raises ValueError for n < 1.
     """
     return seq.prefix(seq.largest_remaining_leq(n) or 6)
 
@@ -132,23 +132,13 @@ def _tail_greedy(terms: list[int], target: int) -> tuple[tuple[int, ...], int]:
     return tuple(picked), target
 
 
-def _greedy_split(
-    a: int, n: int
-) -> tuple[dict[int, str], list[int], int, tuple[int, ...], int]:
-    """A finisher's arguments: the covers, the terms, n, and the tail greedy on n."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    terms = _tail_terms(gh_sequence(a), n)
-    return (remainder_table(a).entries, terms, n, *_tail_greedy(terms, n))
-
-
 def greedy_remaining(a: int, n: int) -> tuple[tuple[int, ...], int, int]:
     """Split n into tail picks, their sum n1, and the leftover n0 < term(6).
 
     Picks come out strictly decreasing with no two adjacent indices:
     after taking term(i) the remainder drops below term(i - 1).
     """
-    *_, picked, residual = _greedy_split(a, n)
+    picked, residual = _tail_greedy(_tail_terms(gh_sequence(a), n), n)
     return picked, n - residual, residual
 
 
@@ -177,48 +167,41 @@ def _close(prefix5: str, tail: str) -> str:
     return word + "1"
 
 
-def _assemble(prefix5: str, picked: tuple[int, ...]) -> str:
-    return _close(prefix5, _tail_bits(picked))
-
-
-def _resume(
-    terms: list[int], last: int, r: int, leftovers: Iterable[tuple[int, str]]
+def _finish(
+    entries: dict[int, str], terms: list[int], picked: tuple[int, ...], r: int,
+    leftovers: Callable[[dict[int, str], list[int], int], Iterable[tuple[int, str]]],
 ) -> tuple[int, str, tuple[int, ...]] | None:
-    """The first (n0, cover) in leftovers, each above r, whose resumed greedy ends at 0.
+    """(n0, cover, picks) for an n on which the tail greedy picks picked and leaves r.
 
-    The greedy on n - n0 takes the picks of n above last and then runs on
-    term(last) + r - n0 (encode_simple's docstring). Returns n0, its
-    cover and the picks below last, or None. The result depends only on
-    (last, r), not on the picks above last.
+    A covered r is its own leftover, with the picks of n. Otherwise, given
+    a pick, the first (n0, cover) of leftovers(entries, terms, r), each
+    above r, whose greedy on n - n0 ends at 0 wins. That greedy takes the
+    picks of n above the last, then runs on term(last) + r - n0
+    (encode_simple's docstring), so only that run is made. None when no
+    leftover works, and for an uncovered r with no pick: then r = n, and
+    every leftover above r is above n. leftovers is called only when r
+    has no cover and there is a pick.
     """
-    for n0, prefix in leftovers:
-        # the target is below term(last), so the greedy picks below last
-        rest, residual = _tail_greedy(terms, terms[last - 1] + r - n0)
-        if residual == 0:
-            return n0, prefix, rest
+    cover = entries.get(r)
+    if cover is not None:
+        return r, cover, picked
+    if picked:
+        last = picked[-1]
+        for n0, cover in leftovers(entries, terms, r):
+            # the target is below term(last), so the greedy picks below last
+            rest, residual = _tail_greedy(terms, terms[last - 1] + r - n0)
+            if residual == 0:
+                return n0, cover, picked[:-1] + rest
     return None
 
 
-def _above(entries: dict[int, str], r: int) -> Iterator[tuple[int, str]]:
+def _above(entries: dict[int, str], terms: list[int], r: int) -> Iterator[tuple[int, str]]:
     # entries ascend, so these are the leftovers above r in ascending order
     return ((n0, prefix) for n0, prefix in entries.items() if n0 > r)
 
 
-def _finish_simple(
-    entries: dict[int, str], terms: list[int], n: int, picked: tuple[int, ...], r: int
-) -> EncodeOutcome | None:
-    """encode_simple's outcome for n, given the tail greedy's picks and residual r on n."""
-    prefix = entries.get(r)
-    if prefix is not None:
-        return EncodeOutcome(_assemble(prefix, picked), r, n - r, picked, False)
-    if not picked:
-        return None
-    found = _resume(terms, picked[-1], r, _above(entries, r))
-    if found is None:
-        return None
-    n0, prefix, rest = found
-    picks = picked[:-1] + rest
-    return EncodeOutcome(_assemble(prefix, picks), n0, n - n0, picks, False)
+def _fallback(entries: dict[int, str], terms: list[int], r: int) -> tuple[tuple[int, str]]:
+    return ((terms[1] + terms[3], "01010"),)  # the cover of term(2) + term(4)
 
 
 def encode_simple(a: int, n: int) -> EncodeOutcome | None:
@@ -239,28 +222,15 @@ def encode_simple(a: int, n: int) -> EncodeOutcome | None:
     the picks of n. For n0 > r, the greedy after p(m - 1) has
     term(pm) + r - n0 < term(pm) to absorb, so it goes on below pm.
     With no pick at all, r = n and every n0 > r is a leftover above n.
+    _finish does exactly this, trying every cover above r.
     """
-    return _finish_simple(*_greedy_split(a, n))
-
-
-def _finish_fast(
-    entries: dict[int, str], terms: list[int], n: int, picked: tuple[int, ...], r: int
-) -> EncodeOutcome | None:
-    """encode_fast's outcome for n, given the tail greedy's picks and residual r on n.
-
-    used_fallback is set apart from the cover, because a first-attempt
-    leftover of term(2) + term(4) also takes the cover 01010.
-    """
-    prefix = entries.get(r)
-    if prefix is not None:
-        return EncodeOutcome(_assemble(prefix, picked), r, n - r, picked, False)
-    n0 = terms[1] + terms[3]  # the cover 01010
-    if n < n0:
+    terms = _tail_terms(gh_sequence(a), n)
+    picked, r = _tail_greedy(terms, n)
+    found = _finish(remainder_table(a).entries, terms, picked, r, _above)
+    if found is None:
         return None
-    picked, residual = _tail_greedy(terms, n - n0)
-    if residual != 0:
-        return None
-    return EncodeOutcome(_assemble("01010", picked), n0, n - n0, picked, True)
+    n0, cover, picks = found
+    return EncodeOutcome(_close(cover, _tail_bits(picks)), n0, n - n0, picks, False)
 
 
 def encode_fast(a: int, n: int) -> EncodeOutcome | None:
@@ -269,11 +239,25 @@ def encode_fast(a: int, n: int) -> EncodeOutcome | None:
     First attempt: greedy tail split; if the leftover has a cover the
     code follows directly. Second attempt, reachable only for a <= -5
     where uncoverable leftovers exist: restart from the fixed cover
-    01010, i.e. n0 = term(2) + term(4), and require the tail greedy to
-    absorb the rest exactly. The existence verdict is checked against
+    01010, i.e. n0 = f = term(2) + term(4), and require the tail greedy
+    to absorb the rest exactly. The existence verdict is checked against
     encode_simple across the test suite rather than assumed.
+
+    The restart is _finish's resume at n0 = f alone. f = term(6) - 2
+    lies above every uncovered r and at or below term(pm), the lowest
+    pick, so by encode_simple's docstring the greedy on n - f takes the
+    picks of n above pm and resumes below it. With no pick, r = n < f,
+    so there is nothing to restart. used_fallback is n0 != r, set apart
+    from the cover, because a first-attempt leftover of f also takes
+    the cover 01010.
     """
-    return _finish_fast(*_greedy_split(a, n))
+    terms = _tail_terms(gh_sequence(a), n)
+    picked, r = _tail_greedy(terms, n)
+    found = _finish(remainder_table(a).entries, terms, picked, r, _fallback)
+    if found is None:
+        return None
+    n0, cover, picks = found
+    return EncodeOutcome(_close(cover, _tail_bits(picks)), n0, n - n0, picks, n0 != r)
 
 
 def exists(a: int, n: int) -> bool:
@@ -296,25 +280,24 @@ def _leaf_template(
     carry nothing and return that same string.
     fixups lists (r, cover, fast, simple) for the other residuals that
     have a code: a cover _close carry-rewrites, or, for an uncovered r,
-    the _resume results of encode_fast's second attempt and of
-    encode_simple, with simple the same object as fast when they agree.
+    what _finish gives below pm for encode_fast and for encode_simple,
+    with simple the same object as fast when they agree.
     """
-    fallback = ((terms[1] + terms[3], "01010"),)  # encode_fast's second attempt
+    pick = (pm,)
     plain: list[str | None] = []
     fixups: list[tuple] = []
     for r in range(length):
-        cover = entries.get(r)
-        if cover is None:
+        fast = _finish(entries, terms, pick, r, _fallback)
+        if fast is None or fast[0] != r:  # r has no cover
             plain.append(None)
-            fast = _resume(terms, pm, r, fallback)
-            simple = _resume(terms, pm, r, _above(entries, r))
+            simple = _finish(entries, terms, pick, r, _above)
             if fast or simple:
                 fixups.append((r, None, fast, fast if simple == fast else simple))
-        elif "11" in cover or (pm == 6 and cover[-1] == "1"):
+        elif "11" in fast[1] or (pm == 6 and fast[1][-1] == "1"):
             plain.append(None)
-            fixups.append((r, cover, None, None))
+            fixups.append((r, fast[1], None, None))
         else:
-            plain.append(cover)
+            plain.append(fast[1])
     return plain, fixups
 
 
@@ -342,28 +325,23 @@ def _leaf_codes(a: int, n_max: int) -> Iterator[tuple[int, list, list]]:
     leaves non-adjacent indices >= 6, which the greedy takes back
     exactly: a new leaf starts, with r = 0, and the greedy runs again.
 
-    Inside a leaf the picks and their tail bits stay fixed. When r has a
-    cover the two codes are one: encode_simple skips every smaller
-    leftover and stops at r, with the same picks. When it has none,
-    encode_simple resumes the greedy on term(pm) + r - n0 for each
-    leftover n0 > r in turn, and encode_fast's second attempt is the
-    same resume at n0 = f = term(2) + term(4) alone, a leftover above
-    every uncovered r. Both depend only on (pm, r). So one template per
-    pm (_leaf_template), built at its first leaf, which meets the most
-    residuals, serves every leaf: the plain codes are its covers with
-    the tail appended, and only its fixups go through _close. With no
-    pick, r = n and encode_simple has no leftover to resume.
+    Inside a leaf the picks and their tail bits stay fixed, and _finish
+    gives both encoders' outcomes from the lowest pick pm and r alone.
+    So one template per pm (_leaf_template), built at its first leaf,
+    which meets the most residuals, serves every leaf: the plain codes
+    are its covers with the tail appended, and only its fixups go
+    through _close. The first leaf has no pick, so _finish runs per n
+    and gives one list, as both simple and fast.
     """
     entries = remainder_table(a).entries
     terms = _tail_terms(gh_sequence(a), n_max)
-    # the first leaf, with no pick: r = n, and encode_fast finishes each n
+    # the first leaf, with no pick: r = n, and no leftover is tried
     stop = min(terms[5], n_max + 1)
     for lo in range(1, stop, _LEAF_SLICE):
         ns = range(lo, min(lo + _LEAF_SLICE, stop))
-        fast = [out and out.code for out in map(
-            _finish_fast, repeat(entries), repeat(terms), ns, repeat(()), ns)]
-        simple = [code if n in entries else None for n, code in zip(ns, fast)]
-        yield lo, fast if simple == fast else simple, fast
+        codes = [found and _close(found[1], "") for found in map(
+            _finish, repeat(entries), repeat(terms), repeat(()), ns, repeat(_fallback))]
+        yield lo, codes, codes
     templates: dict[int, tuple[list[str | None], list[tuple]]] = {}
     start = terms[5]
     while start <= n_max:
@@ -388,9 +366,9 @@ def _leaf_codes(a: int, n_max: int) -> Iterator[tuple[int, list, list]]:
                 if cover is not None:
                     fast[i] = _close(cover, tail)
                     continue
-                code = fast[i] = found and _assemble(found[1], above + found[2])
+                code = fast[i] = found and _close(found[1], _tail_bits(above + found[2]))
                 if other is not found:
-                    alt = other and _assemble(other[1], above + other[2])
+                    alt = other and _close(other[1], _tail_bits(above + other[2]))
                     if alt != code:
                         odd.append((i, alt))
             simple = fast.copy() if odd else fast

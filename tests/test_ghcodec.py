@@ -262,10 +262,28 @@ def test_algorithm_code_divergences_are_flagged():
     assert diffs == []
 
 
-def _restart_per_leftover(a, n):
-    """encode_simple as a restart per leftover: the tail greedy from the top for each n0."""
+def _simple_leftovers(a, n):
+    """encode_simple's leftovers: every cover, ascending, zero included."""
+    return [(n0, prefix, False) for n0, prefix in remainder_table(a).entries.items()]
+
+
+def _fast_leftovers(a, n):
+    """encode_fast's leftovers: the greedy residual's cover, else the 01010 cover alone."""
+    seq = gh_sequence(a)
+    entries = remainder_table(a).entries
+    _, r = _greedy_per_pick(seq, n)
+    if r in entries:
+        return [(r, entries[r], False)]
+    return [(seq.term(2) + seq.term(4), "01010", True)]
+
+
+def _restart_per_leftover(a, n, leftovers):
+    """An encoder as a restart per leftover: the tail greedy from the top for each n0 it tries.
+
+    leftovers(a, n) lists (n0, cover, used_fallback) in the order the encoder tries them.
+    """
     terms = _tail_terms(gh_sequence(a), n)
-    for n0, prefix in remainder_table(a).entries.items():  # ascending n0
+    for n0, prefix, fallback in leftovers(a, n):
         if n0 > n:
             break
         picked, residual = _tail_greedy(terms, n - n0)
@@ -274,21 +292,30 @@ def _restart_per_leftover(a, n):
             for i in picked:
                 raw[i - 1] = "1"
             code = to_codeword(trim_trailing_zeros(normalize("".join(raw))))
-            return EncodeOutcome(code, n0, n - n0, picked, False)
+            return EncodeOutcome(code, n0, n - n0, picked, fallback)
     return None
 
 
-def test_encode_simple_equals_restart_per_leftover():
+restart_references = pytest.mark.parametrize(
+    "encode, leftovers",
+    [(encode_simple, _simple_leftovers), (encode_fast, _fast_leftovers)],
+    ids=["simple", "fast"],
+)
+
+
+@restart_references
+def test_encoder_equals_restart_per_leftover(encode, leftovers):
     # the resumed greedy tries the same leftovers, in the same order, with the same picks
     for a in range(-40, -1):
         for n in range(1, 3001):
-            assert encode_simple(a, n) == _restart_per_leftover(a, n), (a, n)
+            assert encode(a, n) == _restart_per_leftover(a, n, leftovers), (a, n)
 
 
+@restart_references
 @given(a=st.integers(min_value=-40, max_value=-2), n=st.integers(min_value=1, max_value=10**30))
 @settings(max_examples=300)
-def test_encode_simple_equals_restart_per_leftover_on_large_n(a, n):
-    assert encode_simple(a, n) == _restart_per_leftover(a, n)
+def test_encoder_equals_restart_per_leftover_on_large_n(encode, leftovers, a, n):
+    assert encode(a, n) == _restart_per_leftover(a, n, leftovers)
 
 
 def _code(outcome):
@@ -357,7 +384,7 @@ def test_leaf_codes_give_simple_its_own_list_where_it_differs(monkeypatch, a):
     # encode_fast's second attempt finds one; those leaves get a simple list of
     # their own, and their fast lists stay as they were
     fast_codes = [fast for _, _, fast in _walk_pairs(a, 3000)]
-    monkeypatch.setattr(ghcodec, "_above", lambda entries, r: iter(()))
+    monkeypatch.setattr(ghcodec, "_above", lambda entries, terms, r: iter(()))
     assert [fast for _, _, fast in _walk_pairs(a, 3000)] == fast_codes
     assert any(simple is not fast for _, simple, fast in _leaf_codes(a, 3000))
     for n, simple, fast in _walk_pairs(a, 3000):
