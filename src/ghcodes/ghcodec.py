@@ -152,12 +152,13 @@ def _tail_bits(picked: tuple[int, ...]) -> str:
     return "".join(parts)
 
 
-def _close(prefix5: str, tail: str) -> str:
-    # cover on bits 1..5, then the tail; carry-rewrite only where a pair
-    # of ones shows, drop the trailing zeros a short cover leaves, and
-    # close the word. Only a rewritten word can hold a pair, and only an
-    # empty one can fail to end in 1 once its zeros are gone
-    raw = prefix5 + tail
+def _close(low: str, high: str) -> str:
+    # the low bits (a cover on bits 1..5, or a leaf template's bits 1..pm),
+    # then the bits above them; carry-rewrite only where a pair of ones
+    # shows, drop the trailing zeros a short cover or a resumed greedy
+    # leaves, and close the word. Only a rewritten word can hold a pair,
+    # and only an empty one can fail to end in 1 once its zeros are gone
+    raw = low + high
     rewritten = "11" in raw
     if rewritten:
         raw = normalize(raw)
@@ -267,38 +268,53 @@ def exists(a: int, n: int) -> bool:
 
 _LEAF_SLICE = 4096  # n per list _leaf_codes yields; a longer leaf comes in slices
 
+_Template = tuple[list[str | None], list[tuple[int, str]]]
+
 
 def _leaf_template(
     entries: dict[int, str], terms: list[int], pm: int, length: int
-) -> tuple[list[str | None], list[tuple]]:
-    """What every leaf with lowest pick pm shares, for its residuals 0..length - 1.
+) -> tuple[_Template, _Template]:
+    """(low, carried) for encode_fast, then for encode_simple, at residuals 0..length - 1.
 
-    plain[r] is the cover of r where the code is cover + tail + "1" for
-    the leaf's tail bits, else None: a cover with no pair of ones, which
-    ends in 0 when pm = 6, the one lowest pick whose tail bits start with
-    1. The tail ends in 1 and holds no pair, so _close would strip and
-    carry nothing and return that same string.
-    fixups lists (r, cover, fast, simple) for the other residuals that
-    have a code: a cover _close carry-rewrites, or, for an uncovered r,
-    what _finish gives below pm for encode_fast and for encode_simple,
-    with simple the same object as fast when they agree.
+    Each holds bits 1..pm of what _finish gives for the lowest pick pm
+    alone: the cover, then pm where r is covered, or else the picks of
+    the greedy resumed below pm. low[r] is those bits, None where r has
+    no code and where they hold a pair of ones; carried lists (r, bits)
+    for the latter, the only codes _close carry-rewrites. The pair for
+    encode_simple is the one for encode_fast, as one object, when the
+    two encoders agree at every r.
     """
     pick = (pm,)
-    plain: list[str | None] = []
-    fixups: list[tuple] = []
-    for r in range(length):
-        fast = _finish(entries, terms, pick, r, _fallback)
-        if fast is None or fast[0] != r:  # r has no cover
-            plain.append(None)
-            simple = _finish(entries, terms, pick, r, _above)
-            if fast or simple:
-                fixups.append((r, None, fast, fast if simple == fast else simple))
-        elif "11" in fast[1] or (pm == 6 and fast[1][-1] == "1"):
-            plain.append(None)
-            fixups.append((r, fast[1], None, None))
-        else:
-            plain.append(fast[1])
-    return plain, fixups
+    fast = [_finish(entries, terms, pick, r, _fallback) for r in range(length)]
+    # a covered r is its own leftover, so the encoders can differ only where r has no cover
+    simple = [found if found and found[0] == r else _finish(entries, terms, pick, r, _above)
+              for r, found in enumerate(fast)]
+    both = []
+    for outcomes in (fast, simple) if simple != fast else (fast,):
+        low: list[str | None] = []
+        carried: list[tuple[int, str]] = []
+        for r, found in enumerate(outcomes):
+            bits = found and found[1] + _tail_bits(found[2]).ljust(pm - 5, "0")
+            if bits and "11" in bits:
+                carried.append((r, bits))
+                bits = None
+            low.append(bits)
+        both.append((low, carried))
+    return both[0], both[-1]
+
+
+def _fill(template: _Template, high: str, lo: int, hi: int) -> list[str | None]:
+    # a leaf's codes at residuals lo..hi - 1, from its bits above pm
+    low, carried = template
+    if high:
+        high1 = high + "1"
+        codes = [p and p + high1 for p in low[lo:hi]]
+    else:  # a resumed greedy leaves zeros up to pm, which _close drops
+        codes = [p and p.rstrip("0") + "1" for p in low[lo:hi]]
+    for r, bits in carried:
+        if lo <= r < hi:
+            codes[r - lo] = _close(bits, high)
+    return codes
 
 
 def _leaf_codes(a: int, n_max: int) -> Iterator[tuple[int, list, list]]:
@@ -310,28 +326,24 @@ def _leaf_codes(a: int, n_max: int) -> Iterator[tuple[int, list, list]]:
     _LEAF_SLICE n comes as slices of that many, each with its first n.
 
     One term lookup serves the range, and the tail greedy runs once per
-    leaf of the residual word (missing_runs), not once per n. Say the
-    greedy on n picks p1 > ... > pm and leaves r, and let L be term(5)
-    if pm = 6 and term(6) otherwise, with no pick too. If r + 1 < L, the
-    greedy on n + 1 picks the same and leaves r + 1. By induction from
-    the lowest pick, with R(j) what is left after the first j picks:
-    R(m) + 1 = r + 1 is below term(6), where the greedy stops, and below
-    term(pm - 1). For j < m, R(j) + 1 < term(p(j + 1)) + term(p(j + 1) - 1)
-    = term(p(j + 1) + 1), at most term(pj - 1) as no two picks are
-    adjacent. So R(j - 1) + 1 = term(pj) + R(j) + 1 lies below
-    term(pj + 1), and the greedy takes pj again, up to R(0) + 1 = n + 1.
-    When r + 1 = L, n + 1 is the picks plus term(5) or term(6).
-    Carrying each adjacent pair up (term(i) + term(i - 1) = term(i + 1))
-    leaves non-adjacent indices >= 6, which the greedy takes back
-    exactly: a new leaf starts, with r = 0, and the greedy runs again.
+    leaf of the residual word R(l) = R(l - 1) + R(l - 2) (missing_runs),
+    not once per n. The n of the R(l - 2) part of R(l) are term(l - 1)
+    plus those of R(l - 2), and the greedy picks term(l - 1) on them
+    first. So each leaf has one set of picks, with r running from 0
+    across it, and it is the short R(5) exactly when its lowest pick pm
+    is 6. The first leaf, R(6) from n = 0, has no pick.
 
-    Inside a leaf the picks and their tail bits stay fixed, and _finish
-    gives both encoders' outcomes from the lowest pick pm and r alone.
-    So one template per pm (_leaf_template), built at its first leaf,
-    which meets the most residuals, serves every leaf: the plain codes
-    are its covers with the tail appended, and only its fixups go
-    through _close. The first leaf has no pick, so _finish runs per n
-    and gives one list, as both simple and fast.
+    _finish gives both encoders' outcomes from pm and r alone, and it
+    resumes the greedy only below pm. So a code is the low bits of the
+    template for pm at r (_leaf_template), then the leaf's bits above
+    pm, then the closing 1. The next pick is at pm + 2 or higher, so no
+    pair of ones forms where the two parts meet, and _close runs per
+    leaf only for the carried low bits, whose carry may run into the
+    bits above. With one pick there are no bits above, and the zeros a
+    resumed greedy leaves below pm are dropped, as _close drops them.
+    One template per pm, built at its first leaf, serves every leaf.
+    The first leaf has no pick, so _finish runs per n and gives one
+    list, as both simple and fast.
     """
     entries = remainder_table(a).entries
     terms = _tail_terms(gh_sequence(a), n_max)
@@ -342,7 +354,7 @@ def _leaf_codes(a: int, n_max: int) -> Iterator[tuple[int, list, list]]:
         codes = [found and _close(found[1], "") for found in map(
             _finish, repeat(entries), repeat(terms), repeat(()), ns, repeat(_fallback))]
         yield lo, codes, codes
-    templates: dict[int, tuple[list[str | None], list[tuple]]] = {}
+    templates: dict[int, tuple[_Template, _Template]] = {}
     start = terms[5]
     while start <= n_max:
         picked, _ = _tail_greedy(terms, start)  # a leaf starts here, with r = 0
@@ -352,28 +364,14 @@ def _leaf_codes(a: int, n_max: int) -> Iterator[tuple[int, list, list]]:
         template = templates.get(pm)
         if template is None:
             template = templates[pm] = _leaf_template(entries, terms, pm, length)
-        plain, fixups = template
-        tail = _tail_bits(picked)
-        tail1, above = tail + "1", picked[:-1]
+        fast_t, simple_t = template
+        high = _tail_bits(picked)[pm - 5:]  # the leaf's bits above pm
         for lo in range(0, length, _LEAF_SLICE):
             hi = min(lo + _LEAF_SLICE, length)
-            fast = [p and p + tail1 for p in plain[lo:hi]]
-            odd = []  # (index, simple code) where the simple code differs
-            for r, cover, found, other in fixups:
-                if not lo <= r < hi:
-                    continue
-                i = r - lo
-                if cover is not None:
-                    fast[i] = _close(cover, tail)
-                    continue
-                code = fast[i] = found and _close(found[1], _tail_bits(above + found[2]))
-                if other is not found:
-                    alt = other and _close(other[1], _tail_bits(above + other[2]))
-                    if alt != code:
-                        odd.append((i, alt))
-            simple = fast.copy() if odd else fast
-            for i, code in odd:
-                simple[i] = code
+            simple = fast = _fill(fast_t, high, lo, hi)
+            if simple_t is not fast_t:
+                simple = _fill(simple_t, high, lo, hi)
+                simple = fast if simple == fast else simple
             yield start + lo, simple, fast
         start += leaf
 

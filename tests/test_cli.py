@@ -52,6 +52,10 @@ _NO_A = "error: --a is required for the gh code\n"
 _A_ABOVE = "error: parameter a must be <= -2, got {}\n"
 _FIB_A = "error: --a only applies to the gh code\n"
 _BAD_SPEC = "error: codec spec must be 'fib' or 'gh:A', got {!r}\n"
+_SPAN = "error: {} must be an integer or an inclusive lo:hi range, got {!r}\n"
+_UNIFORM = "error: uniform bounds must satisfy 1 <= lo <= hi, got {!r}\n"
+_GEOMETRIC = "error: geometric p must be in (0, 1), got {}\n"
+_DIST = "error: distribution must be constant:V, uniform:LO:HI or geometric:P, got {!r}\n"
 
 
 @pytest.mark.parametrize("argv, status, message", [
@@ -73,6 +77,19 @@ _BAD_SPEC = "error: codec spec must be 'fib' or 'gh:A', got {!r}\n"
     (("bench", "--dist", "constant:1", "--codes", "fib,gh:-1"), 2, _A_ABOVE.format(-1)),
     (("bench", "--dist", "constant:1", "--codes", "gh:3"), 2, _A_ABOVE.format(3)),
     (("bench", "--dist", "constant:1", "--codes", " , "), 2, "error: --codes selected no codecs\n"),
+    (("table", "--a", "-7", "--n", "1:2:3"), 2, _SPAN.format("--n", "1:2:3")),
+    (("table", "--a", "-7", "--n", "x"), 2, _SPAN.format("--n", "x")),
+    (("exists", "--a", "-7", "5:3"), 2, "error: n range must have lo <= hi, got '5:3'\n"),
+    (("table", "--a", "-5:-9", "--n", "1"), 2, "error: --a range must have lo <= hi, got '-5:-9'\n"),
+    (("table", "--a", "-7", "--n", "0:3"), 2, "error: n must be >= 1, got 0\n"),
+    (("verify", "--a", "-7", "--max-n", "0"), 2, "error: --max-n must be >= 1, got 0\n"),
+    (("bench", "--dist", "constant:1", "--count", "0"), 2, "error: --count must be >= 1, got 0\n"),
+    (("bench", "--dist", "constant:0"), 2, "error: constant value must be >= 1, got 0\n"),
+    (("bench", "--dist", "uniform:5:3"), 2, _UNIFORM.format("5:3")),
+    (("bench", "--dist", "uniform:0:3"), 2, _UNIFORM.format("0:3")),
+    (("bench", "--dist", "geometric:1.5"), 2, _GEOMETRIC.format(1.5)),
+    (("bench", "--dist", "geometric:0"), 2, _GEOMETRIC.format(0.0)),
+    (("bench", "--dist", "geometric:x"), 2, _DIST.format("geometric:x")),
 ])
 def test_codec_and_a_errors_are_pinned(capsys, argv, status, message):
     assert run(capsys, *argv) == (status, "", message)
@@ -280,6 +297,20 @@ def test_gaps_max_n_below_one_exits_before_scanning(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: --max-n must be >= 1, got 0\n")
 
 
+@pytest.mark.parametrize("a", ["-7", "-2"])
+def test_gaps_exits_3_on_a_run_longer_than_k(capsys, monkeypatch, a):
+    # k is 3 at a = -7 and None at a = -2, where no run may exist at all;
+    # the report is printed in full before the status says the bound failed
+    monkeypatch.setattr(cli, "gap_scan", lambda *args, **kw: ((5, 4),))
+    code, out, err = run(capsys, "gaps", "--a", a, "--max-n", "20")
+    assert (code, err) == (3, "")
+    assert out.count("\n") == 1 and '"max_run": 4' in out and '"runs": [[5, 4]]' in out
+    code, out, err = run(capsys, "gaps", "--a", a, "--max-n", "20", "--format", "csv")
+    assert (code, err) == (3, "")
+    assert out == "n,exists\n" + "".join(
+        f"{n},{'false' if 5 <= n <= 8 else 'true'}\n" for n in range(1, 21))
+
+
 def test_gaps_rejects_unknown_mode(capsys, monkeypatch):
     monkeypatch.setattr(cli, "gap_scan", lambda *args, **kw: pytest.fail("scanned"))
     with pytest.raises(SystemExit) as exc:
@@ -335,6 +366,31 @@ def test_bench_constant_gh(capsys):
                        "--codes", "gh:-2", "--format", "csv")
     assert code == 0
     assert out.strip().splitlines()[1] == "gh:-2,10,10,0,50,5.0000"
+
+
+def test_bench_text_table(capsys):
+    # the default format; only the seconds column varies from run to run
+    code, out, err = run(capsys, "bench", "--dist", "constant:7", "--count", "10",
+                         "--codes", "fib,gh:-2")
+    assert (code, err) == (0, "")
+    header, *rows = out.splitlines()
+    assert header == "codec          count  skipped   total_bits  bits/value  seconds"
+    assert [row[:-9] for row in rows] == [
+        "fib               10        0           50      5.0000",
+        "gh:-2             10        0           50      5.0000",
+    ]
+    for row in rows:
+        assert row[-9] == " " and float(row[-8:]) >= 0
+
+
+def test_bench_uniform_csv_rows_are_pinned(capsys):
+    code, out, err = run(capsys, "bench", "--dist", "uniform:1:1000", "--count", "1000",
+                         "--codes", "fib,gh:-7", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [
+        "fib,1000,1000,0,13273,13.2730",
+        "gh:-7,1000,725,275,9237,12.7407",
+    ]
 
 
 def test_bench_csv_is_seed_stable_and_universal_skips_nothing(capsys):

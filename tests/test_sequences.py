@@ -57,6 +57,10 @@ def test_rejects_bad_parameters():
         gh_sequence(-2).term(-3)
     with pytest.raises(ValueError):
         gh_sequence(-2).largest_remaining_leq(0)
+    with pytest.raises(ValueError, match="prefix length must be >= 0, got -1"):
+        fib_sequence().prefix(-1)
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        fib_sequence().largest_leq(0)
 
 
 def test_largest_remaining_leq():
