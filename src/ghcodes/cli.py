@@ -37,9 +37,9 @@ DEFAULT_SEED = 12345
 # a scan holds every run it finds, and for small k those grow with --max-n:
 # about 145 MiB peak RSS at a=-5 and this cap, 18 MiB at a=-1000
 _MAX_SCAN_N = 10**7
-# verify builds both encoders' codes a leaf at a time, from one template per
-# lowest pick, and decodes them in batches: 2.6 s at this cap for a=-7,
-# median of 5 runs (2 vCPUs)
+# verify builds the one code both encoders give a leaf at a time, from one
+# template per lowest pick, and decodes the codes in batches: 2.6 s at this
+# cap for a=-7, median of 5 runs (2 vCPUs)
 _MAX_VERIFY_N = 10**6
 # verify calls decode_many once this many codes are pending, at the end of
 # the leaf that reaches it; 4096 ran no faster and held about 0.5 MB more
@@ -363,7 +363,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--max-n must be <= {_MAX_VERIFY_N}, got {args.max_n}")
     shown: list[str] = []  # the first 20 problems; the rest are only counted
     problems = encodable = 0
-    codes: list[str] = []  # each n's fast code, then its simple code where that differs
+    codes: list[str] = []  # each n's code, the one both encoders give
     wanted: list[int] = []  # the n each code must decode to
 
     def problem(line: str) -> None:
@@ -376,42 +376,32 @@ def _cmd_verify(args) -> int:
         """Decode the pending codes in one call and report each n with a code that is wrong."""
         decoded = decode_many(a, codes)
         if decoded != wanted:
-            for i, n in enumerate(wanted):
-                if i and wanted[i - 1] == n:
-                    continue  # a simple code, reported after the fast code of its n
-                if decoded[i] != n:
-                    problem(f"n={n}: fast code {codes[i]} decodes wrong")
-                # decode is a function of the string, so equal codes decode equal
-                j = i + 1 if wanted[i + 1 : i + 2] == [n] else i
-                if decoded[j] != n:
-                    problem(f"n={n}: simple code {codes[j]} decodes wrong")
+            for code, n, got in zip(codes, wanted, decoded):
+                if got != n:  # the code both encoders give, so each gave it wrong
+                    problem(f"n={n}: fast code {code} decodes wrong")
+                    problem(f"n={n}: simple code {code} decodes wrong")
         codes.clear()
         wanted.clear()
 
     verdicts = _oracle_verdicts(a, args.max_n)
     end = args.max_n + 2  # n's verdict is character end - 1 - n
-    for n, simple, fast in _leaf_codes(a, args.max_n):
-        stop = n + len(fast)
+    for n, leaf in _leaf_codes(a, args.max_n):
+        stop = n + len(leaf)
         ground = verdicts[end - stop : end - n][::-1]
-        if simple is fast and "".join(map(_BIT, map(bool, fast))) == ground:
+        if "".join(map(_BIT, map(bool, leaf))) == ground:
             encodable += ground.count("1")
-            codes += filter(None, fast)
-            wanted += compress(range(n, stop), fast)
-        else:  # n by n, for its lines and for the simple codes that differ
-            for n, verdict, simple, fast in zip(range(n, stop), ground, simple, fast):
-                ground = verdict == "1"
-                have = fast is not None
-                if (simple is not None) != have or ground != have:
+            codes += filter(None, leaf)
+            wanted += compress(range(n, stop), leaf)
+        else:  # n by n, for its lines
+            for n, verdict, code in zip(range(n, stop), ground, leaf):
+                have = code is not None
+                if (verdict == "1") != have:
                     check()  # so that problems come out in the order of n
-                    problem(f"n={n}: simple={simple is not None} fast={have} oracle={ground}")
-                    continue
-                if have:
+                    problem(f"n={n}: simple={have} fast={have} oracle={not have}")
+                elif have:
                     encodable += 1
-                    codes.append(fast)
+                    codes.append(code)
                     wanted.append(n)
-                    if simple != fast:
-                        codes.append(simple)
-                        wanted.append(n)
         if len(codes) >= _VERIFY_BATCH:
             check()
     check()

@@ -224,6 +224,23 @@ def encode_simple(a: int, n: int) -> EncodeOutcome | None:
     term(pm) + r - n0 < term(pm) to absorb, so it goes on below pm.
     With no pick at all, r = n and every n0 > r is a leftover above n.
     _finish does exactly this, trying every cover above r.
+
+    The leftover that works is always encode_fast's, so the two give
+    the same code: encode_simple(a, n) is encode_fast(a, n) with
+    used_fallback False, None included. At a in {-2, -3, -4} every r is
+    covered. Take a = -(4 + k) with k >= 1, and an uncovered r, which
+    lies in [5, k + 4] or [k + 11, 2k + 10]. The covers above r are
+    among k + 5..k + 10, f = 2k + 11 (01010) and 2k + 12, so each is
+    n0 = r + d with 1 <= d <= 2k + 7. The resume works iff its greedy
+    leaves 0 on x = term(pm) - d, that is iff a leaf starts at x. The
+    residuals of 0..term(pm) - 1 form the word missing_runs calls
+    R(pm): its last leaf is term(6) = 2k + 13 or term(5) = k + 7 long,
+    and the leaf before a short leaf is long. So a leaf starts at x iff
+    d = k + 7 and R(pm) ends short. Over the first interval the covers
+    k + 5..k + 10 give d <= k + 5, f gives d = k + 7 only at r = k + 4,
+    and 2k + 12 only at r = k + 5, which is covered. Over the second,
+    d <= k + 1. So the first leftover that works, if any, is f, the one
+    encode_fast tries.
     """
     terms = _tail_terms(gh_sequence(a), n)
     picked, r = _tail_greedy(terms, n)
@@ -241,8 +258,8 @@ def encode_fast(a: int, n: int) -> EncodeOutcome | None:
     code follows directly. Second attempt, reachable only for a <= -5
     where uncoverable leftovers exist: restart from the fixed cover
     01010, i.e. n0 = f = term(2) + term(4), and require the tail greedy
-    to absorb the rest exactly. The existence verdict is checked against
-    encode_simple across the test suite rather than assumed.
+    to absorb the rest exactly. encode_simple's docstring proves that
+    this gives encode_simple's code, and no code only where it has none.
 
     The restart is _finish's resume at n0 = f alone. f = term(6) - 2
     lies above every uncovered r and at or below term(pm), the lowest
@@ -271,36 +288,28 @@ _LEAF_SLICE = 4096  # n per list _leaf_codes yields; a longer leaf comes in slic
 _Template = tuple[list[str | None], list[tuple[int, str]]]
 
 
-def _leaf_template(
-    entries: dict[int, str], terms: list[int], pm: int, length: int
-) -> tuple[_Template, _Template]:
-    """(low, carried) for encode_fast, then for encode_simple, at residuals 0..length - 1.
+def _leaf_template(entries: dict[int, str], terms: list[int], pm: int, length: int) -> _Template:
+    """(low, carried) at residuals 0..length - 1, for the code both encoders give.
 
-    Each holds bits 1..pm of what _finish gives for the lowest pick pm
+    low[r] is bits 1..pm of what _finish gives for the lowest pick pm
     alone: the cover, then pm where r is covered, or else the picks of
-    the greedy resumed below pm. low[r] is those bits, None where r has
-    no code and where they hold a pair of ones; carried lists (r, bits)
-    for the latter, the only codes _close carry-rewrites. The pair for
-    encode_simple is the one for encode_fast, as one object, when the
-    two encoders agree at every r.
+    the greedy resumed below pm. It is None where r has no code and
+    where those bits hold a pair of ones; carried lists (r, bits) for
+    the latter, the only codes _close carry-rewrites. _finish tries
+    encode_fast's leftover, which is encode_simple's as well
+    (encode_simple's docstring).
     """
     pick = (pm,)
-    fast = [_finish(entries, terms, pick, r, _fallback) for r in range(length)]
-    # a covered r is its own leftover, so the encoders can differ only where r has no cover
-    simple = [found if found and found[0] == r else _finish(entries, terms, pick, r, _above)
-              for r, found in enumerate(fast)]
-    both = []
-    for outcomes in (fast, simple) if simple != fast else (fast,):
-        low: list[str | None] = []
-        carried: list[tuple[int, str]] = []
-        for r, found in enumerate(outcomes):
-            bits = found and found[1] + _tail_bits(found[2]).ljust(pm - 5, "0")
-            if bits and "11" in bits:
-                carried.append((r, bits))
-                bits = None
-            low.append(bits)
-        both.append((low, carried))
-    return both[0], both[-1]
+    low: list[str | None] = []
+    carried: list[tuple[int, str]] = []
+    for r in range(length):
+        found = _finish(entries, terms, pick, r, _fallback)
+        bits = found and found[1] + _tail_bits(found[2]).ljust(pm - 5, "0")
+        if bits and "11" in bits:
+            carried.append((r, bits))
+            bits = None
+        low.append(bits)
+    return low, carried
 
 
 def _fill(template: _Template, high: str, lo: int, hi: int) -> list[str | None]:
@@ -317,13 +326,13 @@ def _fill(template: _Template, high: str, lo: int, hi: int) -> list[str | None]:
     return codes
 
 
-def _leaf_codes(a: int, n_max: int) -> Iterator[tuple[int, list, list]]:
-    """(first_n, simple, fast) per leaf of the greedy residual met by 1..n_max, ascending.
+def _leaf_codes(a: int, n_max: int) -> Iterator[tuple[int, list[str | None]]]:
+    """(first_n, codes) per leaf of the greedy residual met by 1..n_max, ascending.
 
-    fast[i] is the code encode_fast(a, first_n + i) gives and simple[i]
-    the one encode_simple gives, None where there is none; simple is
-    fast when every simple code equals the fast one. A leaf longer than
-    _LEAF_SLICE n comes as slices of that many, each with its first n.
+    codes[i] is the code encode_fast(a, first_n + i) and encode_simple
+    give, one code by encode_simple's docstring, None where there is
+    none. A leaf longer than _LEAF_SLICE n comes as slices of that
+    many, each with its first n.
 
     One term lookup serves the range, and the tail greedy runs once per
     leaf of the residual word R(l) = R(l - 1) + R(l - 2) (missing_runs),
@@ -333,17 +342,16 @@ def _leaf_codes(a: int, n_max: int) -> Iterator[tuple[int, list, list]]:
     across it, and it is the short R(5) exactly when its lowest pick pm
     is 6. The first leaf, R(6) from n = 0, has no pick.
 
-    _finish gives both encoders' outcomes from pm and r alone, and it
-    resumes the greedy only below pm. So a code is the low bits of the
-    template for pm at r (_leaf_template), then the leaf's bits above
-    pm, then the closing 1. The next pick is at pm + 2 or higher, so no
-    pair of ones forms where the two parts meet, and _close runs per
-    leaf only for the carried low bits, whose carry may run into the
-    bits above. With one pick there are no bits above, and the zeros a
-    resumed greedy leaves below pm are dropped, as _close drops them.
-    One template per pm, built at its first leaf, serves every leaf.
-    The first leaf has no pick, so _finish runs per n and gives one
-    list, as both simple and fast.
+    _finish gives the outcome from pm and r alone, and it resumes the
+    greedy only below pm. So a code is the low bits of the template for
+    pm at r (_leaf_template), then the leaf's bits above pm, then the
+    closing 1. The next pick is at pm + 2 or higher, so no pair of ones
+    forms where the two parts meet, and _close runs per leaf only for
+    the carried low bits, whose carry may run into the bits above. With
+    one pick there are no bits above, and the zeros a resumed greedy
+    leaves below pm are dropped, as _close drops them. One template per
+    pm, built at its first leaf, serves every leaf. The first leaf has
+    no pick, so _finish runs per n.
     """
     entries = remainder_table(a).entries
     terms = _tail_terms(gh_sequence(a), n_max)
@@ -351,10 +359,9 @@ def _leaf_codes(a: int, n_max: int) -> Iterator[tuple[int, list, list]]:
     stop = min(terms[5], n_max + 1)
     for lo in range(1, stop, _LEAF_SLICE):
         ns = range(lo, min(lo + _LEAF_SLICE, stop))
-        codes = [found and _close(found[1], "") for found in map(
+        yield lo, [found and _close(found[1], "") for found in map(
             _finish, repeat(entries), repeat(terms), repeat(()), ns, repeat(_fallback))]
-        yield lo, codes, codes
-    templates: dict[int, tuple[_Template, _Template]] = {}
+    templates: dict[int, _Template] = {}
     start = terms[5]
     while start <= n_max:
         picked, _ = _tail_greedy(terms, start)  # a leaf starts here, with r = 0
@@ -364,15 +371,9 @@ def _leaf_codes(a: int, n_max: int) -> Iterator[tuple[int, list, list]]:
         template = templates.get(pm)
         if template is None:
             template = templates[pm] = _leaf_template(entries, terms, pm, length)
-        fast_t, simple_t = template
         high = _tail_bits(picked)[pm - 5:]  # the leaf's bits above pm
         for lo in range(0, length, _LEAF_SLICE):
-            hi = min(lo + _LEAF_SLICE, length)
-            simple = fast = _fill(fast_t, high, lo, hi)
-            if simple_t is not fast_t:
-                simple = _fill(simple_t, high, lo, hi)
-                simple = fast if simple == fast else simple
-            yield start + lo, simple, fast
+            yield start + lo, _fill(template, high, lo, min(lo + _LEAF_SLICE, length))
         start += leaf
 
 

@@ -13,7 +13,7 @@ import pytest
 import ghcodes
 from ghcodes import cli
 from ghcodes.cli import main
-from ghcodes.ghcodec import decode, encode_simple, exists, missing_runs
+from ghcodes.ghcodec import decode, exists, missing_runs
 from ghcodes.stream import stream_decode, stream_encode
 
 
@@ -458,51 +458,20 @@ def test_verify_reports_both_codes_when_equal_codes_decode_wrong(capsys, monkeyp
     )
 
 
-def _with_codes(walk, simple_at=None, fast_at=None):
+def _with_codes(walk, fast_at):
     """A _leaf_codes stand-in: walk's leaves with the codes of some n replaced.
 
-    simple_at and fast_at map n to the code put in its place; a leaf that
-    gets a simple code of its own gets its own simple list.
+    fast_at maps n to the code put in its place.
     """
-    simple_at, fast_at = simple_at or {}, fast_at or {}
 
     def leaves(a, n_max):
-        for first, simple, fast in walk(a, n_max):
-            ns = range(first, first + len(fast))
-            if any(n in simple_at for n in ns):
-                simple = [simple_at.get(n, code) for n, code in zip(ns, simple)]
+        for first, codes in walk(a, n_max):
+            ns = range(first, first + len(codes))
             if any(n in fast_at for n in ns):
-                fast = [fast_at.get(n, code) for n, code in zip(ns, fast)]
-            yield first, simple, fast
+                codes = [fast_at.get(n, code) for n, code in zip(ns, codes)]
+            yield first, codes
 
     return leaves
-
-
-def test_verify_decodes_a_simple_code_that_differs(capsys, monkeypatch):
-    # a simple code other than the fast one is decoded on its own: here n = 30
-    # gets the code of 31, which decodes to 31
-    walk = _with_codes(cli._leaf_codes, simple_at={30: encode_simple(-7, 31).code})
-    monkeypatch.setattr(cli, "_leaf_codes", walk)
-    code, out, err = run(capsys, "verify", "--a", "-7", "--max-n", "40")
-    assert code == 1
-    assert err == "n=30: simple code 10010011 decodes wrong\n"
-    assert out == (
-        "verify a=-7 n=1..40: FAIL (encodable 29, missing 11, disagreements 1)\n"
-    )
-
-
-def test_verify_decodes_equal_codes_once_from_separate_lists(capsys, monkeypatch):
-    # a leaf whose simple list is its own but holds the same codes is checked
-    # n by n, and still each n costs one decode
-    walk = cli._leaf_codes
-    monkeypatch.setattr(cli, "_leaf_codes", lambda a, n_max: (
-        (first, list(simple), fast) for first, simple, fast in walk(a, n_max)))
-    calls = []
-    real = cli.decode_many
-    monkeypatch.setattr(cli, "decode_many", lambda a, codes: calls.extend(codes) or real(a, codes))
-    code, out, _ = run(capsys, "verify", "--a", "-7", "--max-n", "40")
-    assert code == 0 and "encodable 29" in out
-    assert len(calls) == 29
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -511,8 +480,8 @@ def test_verify_decodes_equal_codes_once_from_separate_lists(capsys, monkeypatch
     ("1011", "codeword '1011' decodes to non-positive value -6"),
 ])
 def test_verify_exits_2_on_the_first_malformed_code(capsys, monkeypatch, bad, message):
-    # n = 30 gets a bad fast code and n = 38 a bad simple code; the first one is reported
-    walk = _with_codes(cli._leaf_codes, simple_at={38: "2"}, fast_at={30: bad})
+    # n = 30 and n = 38 get bad codes; the first one is reported
+    walk = _with_codes(cli._leaf_codes, fast_at={30: bad, 38: "2"})
     monkeypatch.setattr(cli, "_leaf_codes", walk)
     code, out, err = run(capsys, "verify", "--a", "-7", "--max-n", "40")
     assert (code, out, err) == (2, "", f"error: {message}\n")

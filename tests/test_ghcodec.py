@@ -8,6 +8,7 @@ from ghcodes.bits import MalformedCodeError, normalize, to_codeword, trim_traili
 from ghcodes.ghcodec import (
     EncodeOutcome,
     NonPositiveValueError,
+    _finish,
     _leaf_codes,
     _tail_greedy,
     _tail_terms,
@@ -323,20 +324,19 @@ def _code(outcome):
 
 
 def _walk_pairs(a, n_max):
-    """(n, simple code, fast code) for n in 1..n_max, read off _leaf_codes."""
+    """(n, code) for n in 1..n_max, read off _leaf_codes."""
     n = 1
-    for first, simple, fast in _leaf_codes(a, n_max):
-        assert first == n and len(simple) == len(fast) > 0
-        assert (simple is fast) == (simple == fast)
-        yield from zip(range(first, first + len(fast)), simple, fast)
-        n += len(fast)
+    for first, codes in _leaf_codes(a, n_max):
+        assert first == n and len(codes) > 0
+        yield from zip(range(first, first + len(codes)), codes)
+        n += len(codes)
     assert n == n_max + 1
 
 
 def test_outcome_pairs_equal_both_encoders():
     for a in range(-40, -1):
-        for n, simple, fast in _walk_pairs(a, 3000):
-            assert (simple, fast) == (_code(encode_simple(a, n)), _code(encode_fast(a, n))), (a, n)
+        for n, code in _walk_pairs(a, 3000):
+            assert code == _code(encode_simple(a, n)) == _code(encode_fast(a, n)), (a, n)
 
 
 @pytest.mark.parametrize("a", [-2, -3, -4, -5, -7, -12, -40])
@@ -351,16 +351,16 @@ def test_outcome_pairs_end_on_either_side_of_a_leaf_start(a):
         for n_max in (seq.term(l) - 1, seq.term(l), seq.term(l) + 1):
             last = deque(_walk_pairs(a, n_max), maxlen=window)
             assert last[-1][0] == n_max
-            for n, simple, fast in last:
-                assert (simple, fast) == (
-                    _code(encode_simple(a, n)), _code(encode_fast(a, n))), (a, n_max, n)
+            for n, code in last:
+                assert code == _code(encode_simple(a, n)) == _code(encode_fast(a, n)), (
+                    a, n_max, n)
 
 
 def test_outcome_pairs_with_no_tail_pick():
     # term(6) is far above n_max, so every n is its own residual
-    pairs = [(simple, fast) for _, simple, fast in _walk_pairs(-10**30, 10)]
-    assert pairs == [(_code(encode_simple(-10**30, n)), _code(encode_fast(-10**30, n)))
-                     for n in range(1, 11)]
+    codes = [code for _, code in _walk_pairs(-10**30, 10)]
+    assert codes == [_code(encode_simple(-10**30, n)) for n in range(1, 11)]
+    assert codes == [_code(encode_fast(-10**30, n)) for n in range(1, 11)]
 
 
 def test_outcome_pairs_run_the_tail_greedy_once_per_leaf(monkeypatch):
@@ -378,17 +378,46 @@ def test_outcome_pairs_run_the_tail_greedy_once_per_leaf(monkeypatch):
     assert 1000 < leaves < calls < 3000
 
 
-@pytest.mark.parametrize("a", [-5, -7, -12])
-def test_leaf_codes_give_simple_its_own_list_where_it_differs(monkeypatch, a):
-    # with no leftover above r to resume from, encode_simple has no code where
-    # encode_fast's second attempt finds one; those leaves get a simple list of
-    # their own, and their fast lists stay as they were
-    fast_codes = [fast for _, _, fast in _walk_pairs(a, 3000)]
-    monkeypatch.setattr(ghcodec, "_above", lambda entries, terms, r: iter(()))
-    assert [fast for _, _, fast in _walk_pairs(a, 3000)] == fast_codes
-    assert any(simple is not fast for _, simple, fast in _leaf_codes(a, 3000))
-    for n, simple, fast in _walk_pairs(a, 3000):
-        assert (simple, fast) == (_code(encode_simple(a, n)), _code(encode_fast(a, n))), n
+def _finish_residuals(a):
+    """Every r below term(6), or at large k every covered r and the ends of each gap.
+
+    The ends are the first and last 200 r of each uncovered interval.
+    """
+    table = remainder_table(a)
+    top = gh_sequence(a).term(6)
+    if top <= 2000:
+        return range(top)
+    return sorted({*table.entries, *(r for lo, hi in table.gap_intervals
+                                     for r in (*range(lo, lo + 200), *range(hi - 199, hi + 1)))})
+
+
+def test_finish_tries_one_leftover_for_both_encoders():
+    # encode_simple's docstring: of every cover above an uncovered r, only f = 01010
+    # can work, so resuming from each in turn finds what resuming from f alone finds
+    for a in (*range(-60, -1), -1000, -5000, -100000, -10**30):
+        entries = remainder_table(a).entries
+        terms, residuals = gh_sequence(a).prefix(27), _finish_residuals(a)
+        for pm in range(6, 28):
+            for r in residuals:
+                assert (_finish(entries, terms, (pm,), r, ghcodec._above)
+                        == _finish(entries, terms, (pm,), r, ghcodec._fallback)), (a, pm, r)
+
+
+def _same_outcome(a, n):
+    fast = encode_fast(a, n)
+    return encode_simple(a, n) == (fast and fast._replace(used_fallback=False))
+
+
+def test_encode_simple_is_encode_fast_without_the_fallback_flag():
+    for a in range(-40, -1):
+        for n in range(1, 3001):
+            assert _same_outcome(a, n), (a, n)
+
+
+@given(a=st.integers(min_value=-40, max_value=-2), n=st.integers(min_value=1, max_value=10**30))
+@settings(max_examples=300)
+def test_encode_simple_is_encode_fast_without_the_fallback_flag_on_large_n(a, n):
+    assert _same_outcome(a, n)
 
 
 def _leaf_of(a, r, pm_is_6):
@@ -413,9 +442,9 @@ def test_leaf_codes_carry_where_the_cover_meets_a_pair(a, r, pm_is_6):
     n, picks = _leaf_of(a, r, pm_is_6)
     cover = remainder_table(a).entries[r]
     assert "11" in cover + ghcodec._tail_bits(picks)
-    simple, fast = next((s, f) for m, s, f in _walk_pairs(a, n) if m == n)
-    assert simple == fast == encode_simple(a, n).code == encode_fast(a, n).code
-    assert fast != cover + ghcodec._tail_bits(picks) + "1"
+    code = next(c for m, c in _walk_pairs(a, n) if m == n)
+    assert code == encode_simple(a, n).code == encode_fast(a, n).code
+    assert code != cover + ghcodec._tail_bits(picks) + "1"
 
 
 @pytest.mark.parametrize("a, n_max", [
@@ -427,10 +456,10 @@ def test_leaf_codes_slice_a_leaf_cut_by_n_max_at_both_ends(monkeypatch, a, n_max
     # inside; slices of size n cut every longer leaf at both ends as well
     whole = list(_walk_pairs(a, n_max))
     monkeypatch.setattr(ghcodec, "_LEAF_SLICE", size)
-    assert all(len(fast) <= size for _, _, fast in _leaf_codes(a, n_max))
+    assert all(len(codes) <= size for _, codes in _leaf_codes(a, n_max))
     assert list(_walk_pairs(a, n_max)) == whole
-    assert whole == [(n, _code(encode_simple(a, n)), _code(encode_fast(a, n)))
-                     for n in range(1, n_max + 1)]
+    assert whole == [(n, _code(encode_simple(a, n))) for n in range(1, n_max + 1)]
+    assert whole == [(n, _code(encode_fast(a, n))) for n in range(1, n_max + 1)]
 
 
 def test_universality_spot_checks():
