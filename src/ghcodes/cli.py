@@ -15,7 +15,7 @@ import re
 import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain, compress, islice, repeat, starmap
+from itertools import chain, compress, count, islice, repeat, starmap
 from typing import NamedTuple, TextIO
 
 from ghcodes.fibcodec import fib_decode
@@ -38,8 +38,8 @@ DEFAULT_SEED = 12345
 # about 145 MiB peak RSS at a=-5 and this cap, 18 MiB at a=-1000
 _MAX_SCAN_N = 10**7
 # verify builds the one code both encoders give a leaf at a time, from one
-# template per lowest pick, and decodes the codes in batches: 2.6 s at this
-# cap for a=-7, median of 5 runs (2 vCPUs)
+# template per lowest pick, and decodes the codes in batches: 1.9 s at this
+# cap for a=-7, median of 5 runs (2 vCPUs, on a loaded host)
 _MAX_VERIFY_N = 10**6
 # verify calls decode_many once this many codes are pending, at the end of
 # the leaf that reaches it; 4096 ran no faster and held about 0.5 MB more
@@ -194,9 +194,8 @@ def _cmd_table(args) -> int:
         if args.format == "csv":
             yield "a,n,code"
         for a in range(a_lo, a_hi + 1):
-            encode = codeword_encoder("gh", a)
-            for n in range(n_lo, n_hi + 1):
-                yield row.format(a, n, encode(n) or "-")
+            for first, codes in _leaf_codes(a, n_lo, n_hi):
+                yield from map(row.format, repeat(a), count(first), [c or "-" for c in codes])
 
     _write_lines(lines())
     return 0
@@ -373,19 +372,18 @@ def _cmd_verify(args) -> int:
             shown.append(line)
 
     def check() -> None:
-        """Decode the pending codes in one call and report each n with a code that is wrong."""
+        """Decode the pending codes in one call and report each n whose code is wrong."""
         decoded = decode_many(a, codes)
         if decoded != wanted:
             for code, n, got in zip(codes, wanted, decoded):
-                if got != n:  # the code both encoders give, so each gave it wrong
-                    problem(f"n={n}: fast code {code} decodes wrong")
-                    problem(f"n={n}: simple code {code} decodes wrong")
+                if got != n:
+                    problem(f"n={n}: code {code} decodes to {got}")
         codes.clear()
         wanted.clear()
 
     verdicts = _oracle_verdicts(a, args.max_n)
     end = args.max_n + 2  # n's verdict is character end - 1 - n
-    for n, leaf in _leaf_codes(a, args.max_n):
+    for n, leaf in _leaf_codes(a, 1, args.max_n):
         stop = n + len(leaf)
         ground = verdicts[end - stop : end - n][::-1]
         if "".join(map(_BIT, map(bool, leaf))) == ground:
@@ -397,7 +395,7 @@ def _cmd_verify(args) -> int:
                 have = code is not None
                 if (verdict == "1") != have:
                     check()  # so that problems come out in the order of n
-                    problem(f"n={n}: simple={have} fast={have} oracle={not have}")
+                    problem(f"n={n}: code={have} oracle={not have}")
                 elif have:
                     encodable += 1
                     codes.append(code)
@@ -518,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--format", choices=("text", "csv"), default="text")
     ben.set_defaults(func=_cmd_bench)
 
-    ver = sub.add_parser("verify", help="cross-check both encoders against the oracle")
+    ver = sub.add_parser("verify", help="check each n's code against the oracle, and decode it")
     ver.add_argument("--a", type=int, required=True)
     ver.add_argument("--max-n", type=int, required=True)
     ver.set_defaults(func=_cmd_verify)

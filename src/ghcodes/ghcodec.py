@@ -285,96 +285,115 @@ def exists(a: int, n: int) -> bool:
 
 _LEAF_SLICE = 4096  # n per list _leaf_codes yields; a longer leaf comes in slices
 
-_Template = tuple[list[str | None], list[tuple[int, str]]]
 
+def _leaves(terms: list[int], lo: int, hi: int) -> Iterator[tuple[int, int, bool]]:
+    """(start, l, after_short) for each leaf of the residual word that meets lo..hi, ascending.
 
-def _leaf_template(entries: dict[int, str], terms: list[int], pm: int, length: int) -> _Template:
-    """(low, carried) at residuals 0..length - 1, for the code both encoders give.
+    The word is R(len(terms)), the greedy residuals of 0..term(len(terms)) - 1
+    (missing_runs), and terms reach past hi. A leaf is the long R(6) or
+    the short R(5): term(l) residuals from 0, the first at n = start.
+    after_short says the leaf before it is short.
 
-    low[r] is bits 1..pm of what _finish gives for the lowest pick pm
-    alone: the cover, then pm where r is covered, or else the picks of
-    the greedy resumed below pm. It is None where r has no code and
-    where those bits hold a pair of ones; carried lists (r, bits) for
-    the latter, the only codes _close carry-rewrites. _finish tries
-    encode_fast's leftover, which is encode_simple's as well
-    (encode_simple's docstring).
+    The walk visits the word depth first with a stack of (start, l,
+    after_short) that holds only blocks meeting lo..hi, so its state is
+    O(log hi), and its time is O(log hi) plus a step per leaf in lo..hi.
     """
-    pick = (pm,)
-    low: list[str | None] = []
+    stack = [(0, len(terms), False)]
+    while stack:  # it holds only blocks that meet lo..hi
+        start, l, after_short = stack.pop()
+        while l > 6:  # R(l) is R(l - 1) from start, then R(l - 2) from middle
+            middle = start + terms[l - 2]
+            if middle <= hi:  # R(l - 1) ends short iff l is even
+                stack.append((middle, l - 2, l % 2 == 0))
+            if middle <= lo:  # R(l - 1) ends before lo
+                break
+            l -= 1  # descend into R(l - 1) in place
+        else:  # a leaf
+            yield start, l, after_short
+
+
+_Template = tuple[list[tuple[int, str]], list[tuple[int, str]]]
+
+
+def _leaf_template(entries: dict[int, str], terms: list[int], pick: tuple[int, ...]) -> _Template:
+    """(low, carried): (r, bits) for each residual r a leaf with lowest pick pick has a code at.
+
+    pick is (pm,), or () in the first leaf. bits are bits 1..pm of what
+    _finish gives for pick alone: the cover, then pm where r is covered,
+    or else the picks of the greedy resumed below pm. carried lists the
+    bits that hold a pair of ones, the only codes _close carry-rewrites;
+    low lists the others. _finish tries encode_fast's leftover, which is
+    encode_simple's as well (encode_simple's docstring).
+
+    Only a covered r, or r = f - term(5) = k + 4, can have a code:
+    missing_runs' docstring proves that the 01010 cover f resumes to a
+    leaf start from no other uncovered residual. So a template holds at
+    most 14 residuals, however long its leaves are.
+    """
+    width = len(_tail_bits(pick))  # bits 6..pm
+    low: list[tuple[int, str]] = []
     carried: list[tuple[int, str]] = []
-    for r in range(length):
+    for r in {*entries, terms[1] + terms[3] - terms[4]}:  # f - term(5)
         found = _finish(entries, terms, pick, r, _fallback)
-        bits = found and found[1] + _tail_bits(found[2]).ljust(pm - 5, "0")
-        if bits and "11" in bits:
-            carried.append((r, bits))
-            bits = None
-        low.append(bits)
+        if found:
+            bits = found[1] + _tail_bits(found[2]).ljust(width, "0")
+            (carried if "11" in bits else low).append((r, bits))
     return low, carried
 
 
 def _fill(template: _Template, high: str, lo: int, hi: int) -> list[str | None]:
-    # a leaf's codes at residuals lo..hi - 1, from its bits above pm
+    # a leaf's codes at residuals lo..hi - 1, from its bits above pm; with
+    # none, the zeros a resumed greedy leaves up to pm go, as _close drops them
     low, carried = template
-    if high:
-        high1 = high + "1"
-        codes = [p and p + high1 for p in low[lo:hi]]
-    else:  # a resumed greedy leaves zeros up to pm, which _close drops
-        codes = [p and p.rstrip("0") + "1" for p in low[lo:hi]]
+    codes: list[str | None] = [None] * (hi - lo)
+    tail = high + "1"
+    for r, bits in low:
+        if lo <= r < hi:
+            codes[r - lo] = bits + tail if high else bits.rstrip("0") + "1"
     for r, bits in carried:
         if lo <= r < hi:
             codes[r - lo] = _close(bits, high)
     return codes
 
 
-def _leaf_codes(a: int, n_max: int) -> Iterator[tuple[int, list[str | None]]]:
-    """(first_n, codes) per leaf of the greedy residual met by 1..n_max, ascending.
+def _leaf_codes(a: int, lo: int, hi: int) -> Iterator[tuple[int, list[str | None]]]:
+    """(first_n, codes) per leaf of the greedy residual met by lo..hi, ascending, for 1 <= lo.
 
     codes[i] is the code encode_fast(a, first_n + i) and encode_simple
     give, one code by encode_simple's docstring, None where there is
-    none. A leaf longer than _LEAF_SLICE n comes as slices of that
-    many, each with its first n.
+    none. The first list starts at lo, and a leaf longer than
+    _LEAF_SLICE n comes as slices of that many, each with its first n.
 
     One term lookup serves the range, and the tail greedy runs once per
-    leaf of the residual word R(l) = R(l - 1) + R(l - 2) (missing_runs),
-    not once per n. The n of the R(l - 2) part of R(l) are term(l - 1)
-    plus those of R(l - 2), and the greedy picks term(l - 1) on them
-    first. So each leaf has one set of picks, with r running from 0
-    across it, and it is the short R(5) exactly when its lowest pick pm
-    is 6. The first leaf, R(6) from n = 0, has no pick.
+    leaf of the residual word (_leaves), not once per n. The n of the
+    R(l - 2) part of R(l) are term(l - 1) plus those of R(l - 2), and
+    the greedy picks term(l - 1) on them first. So each leaf has one set
+    of picks, found at its start, with r running from 0 across it. The
+    first leaf, R(6) from n = 0, has no pick.
 
-    _finish gives the outcome from pm and r alone, and it resumes the
-    greedy only below pm. So a code is the low bits of the template for
-    pm at r (_leaf_template), then the leaf's bits above pm, then the
-    closing 1. The next pick is at pm + 2 or higher, so no pair of ones
-    forms where the two parts meet, and _close runs per leaf only for
-    the carried low bits, whose carry may run into the bits above. With
-    one pick there are no bits above, and the zeros a resumed greedy
-    leaves below pm are dropped, as _close drops them. One template per
-    pm, built at its first leaf, serves every leaf. The first leaf has
-    no pick, so _finish runs per n.
+    _finish gives the outcome from the lowest pick pm and r alone, and
+    it resumes the greedy only below pm. So a code is the low bits of
+    the template for pm at r (_leaf_template), then the leaf's bits
+    above pm, then the closing 1. The next pick is at pm + 2 or higher,
+    so no pair of ones forms where the two parts meet, and _close runs
+    per leaf only for the carried low bits, whose carry may run into the
+    bits above. One template per lowest pick, built at its first leaf,
+    serves every leaf.
     """
+    seq = gh_sequence(a)
     entries = remainder_table(a).entries
-    terms = _tail_terms(gh_sequence(a), n_max)
-    # the first leaf, with no pick: r = n, and no leftover is tried
-    stop = min(terms[5], n_max + 1)
-    for lo in range(1, stop, _LEAF_SLICE):
-        ns = range(lo, min(lo + _LEAF_SLICE, stop))
-        yield lo, [found and _close(found[1], "") for found in map(
-            _finish, repeat(entries), repeat(terms), repeat(()), ns, repeat(_fallback))]
+    terms = seq.prefix((seq.largest_remaining_leq(hi) or 5) + 1)  # term(l) is terms[l - 1]
     templates: dict[int, _Template] = {}
-    start = terms[5]
-    while start <= n_max:
-        picked, _ = _tail_greedy(terms, start)  # a leaf starts here, with r = 0
-        pm = picked[-1]
-        leaf = terms[4] if pm == 6 else terms[5]
-        length = min(leaf, n_max + 1 - start)  # the residuals met
+    for start, l, _ in _leaves(terms, lo, hi):
+        picked, _ = _tail_greedy(terms, start)  # r = 0 at a leaf start
+        pm = picked[-1] if picked else 5  # the lowest pick; 5 in the first leaf
         template = templates.get(pm)
         if template is None:
-            template = templates[pm] = _leaf_template(entries, terms, pm, length)
-        high = _tail_bits(picked)[pm - 5:]  # the leaf's bits above pm
-        for lo in range(0, length, _LEAF_SLICE):
-            yield start + lo, _fill(template, high, lo, min(lo + _LEAF_SLICE, length))
-        start += leaf
+            template = templates[pm] = _leaf_template(entries, terms, picked[-1:])
+        high = _tail_bits(picked)[pm - 5:]  # the bits above pm
+        first, stop = max(lo - start, 0), min(terms[l - 1], hi + 1 - start)  # residuals met
+        for r in range(first, stop, _LEAF_SLICE):
+            yield start + r, _fill(template, high, r, min(r + _LEAF_SLICE, stop))
 
 
 def missing_runs(a: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
@@ -405,11 +424,9 @@ def missing_runs(a: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
     touch, and no run is longer than k, for every n. A universal a
     (-2, -3, -4) has no gap interval and no run.
 
-    The walk visits the word depth first with a stack of (start, l,
-    after_short) that holds only blocks meeting lo..hi, so its state is
-    O(log hi) plus the run it yields, and its time is O(log hi) plus a
-    step per leaf in lo..hi. Being a generator, it checks its arguments
-    when iteration starts.
+    The runs come from a table per kind of leaf, over the leaves _leaves
+    walks, so the state is O(log hi) plus the run it yields. Being a
+    generator, it checks its arguments when iteration starts.
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
@@ -421,17 +438,8 @@ def missing_runs(a: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
     # the runs of each kind of leaf, by (l, after_short), as residual spans;
     # a short leaf ends before the second interval and never follows a short one
     leaf_runs = {(5, False): gaps[:1], (6, False): gaps, (6, True): ((lo1, hi1 - 1), (lo2, hi2))}
-    terms = seq.prefix((seq.largest_remaining_leq(hi) or 5) + 1)  # term(l) is terms[l - 1]
-    stack = [(0, len(terms), False)]  # R(len(terms)) covers 0..hi
-    while stack:  # it holds only blocks that meet lo..hi
-        start, l, after_short = stack.pop()
-        if l > 6:  # R(l) is R(l - 1) from start, then R(l - 2) from middle
-            middle = start + terms[l - 2]
-            if middle <= hi:  # R(l - 1) ends short iff l is even
-                stack.append((middle, l - 2, l % 2 == 0))
-            if middle > lo:  # pushed last, so popped first
-                stack.append((start, l - 1, after_short))
-            continue
+    terms = seq.prefix((seq.largest_remaining_leq(hi) or 5) + 1)  # R(len(terms)) covers 0..hi
+    for start, l, after_short in _leaves(terms, lo, hi):
         for first, last in leaf_runs[l, after_short]:
             # conditional expressions, not max() and min(): the walk runs 1.6x faster
             first, last = start + first, start + last

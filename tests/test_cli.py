@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from itertools import repeat
 from pathlib import Path
@@ -11,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import ghcodes
-from ghcodes import cli
+from ghcodes import cli, ghcodec
 from ghcodes.cli import main
 from ghcodes.ghcodec import decode, exists, missing_runs
-from ghcodes.stream import stream_decode, stream_encode
+from ghcodes.stream import codeword_encoder, stream_decode, stream_encode
 
 
 def run(capsys, *argv):
@@ -199,6 +200,35 @@ def test_table_text_layout(capsys):
     )
     code, out, _ = run(capsys, "table", "--a", "-1000", "--n", "135")
     assert (code, out) == (0, "-1000      135 -\n")
+
+
+@pytest.mark.parametrize("a, n", [
+    ("-20:-2", "1:400"), ("-20:-2", "150:190"), ("-1000", "1:40"), ("-1000", "2005:2060"),
+    ("-1000", "5020:5020"), (str(-10**30), "1:40"),
+])
+def test_table_csv_is_the_encoder_per_n(capsys, monkeypatch, a, n):
+    # windows from n = 1, from a leaf start (term(6) = 2005 at a = -1000), inside a
+    # later leaf, and of one n; slices of 7 n cut the longer leaves
+    monkeypatch.setattr(ghcodec, "_LEAF_SLICE", 7)
+    code, out, err = run(capsys, "table", f"--a={a}", "--n", n, "--format", "csv")
+    a_lo, a_hi = cli._parse_span(a, "--a")
+    n_lo, n_hi = cli._parse_span(n, "--n")
+    assert (code, err) == (0, "")
+    assert out == "a,n,code\n" + "".join(
+        f"{a},{n},{codeword_encoder('gh', a)(n) or '-'}\n"
+        for a in range(a_lo, a_hi + 1) for n in range(n_lo, n_hi + 1))
+
+
+def test_table_reads_a_leaf_far_from_its_start_in_time():
+    # n is 10**31 into a leaf of about 2 * 10**30 n: a template over every residual
+    # up to n's would never finish, and the walk lists only the residuals with a code
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["table", f"--a={-10**30}", "--n", f"{10**31}:{10**31 + 2}"]) == 0
+    assert time.perf_counter() - start < 2
+    assert out.getvalue() == "".join(
+        f"{-10**30:>4} {n:>8} {codeword_encoder('gh', -10**30)(n) or '-'}\n"
+        for n in range(10**31, 10**31 + 3))
 
 
 def test_gaps_summary(capsys):
@@ -426,14 +456,14 @@ def test_verify_reports_an_oracle_disagreement(capsys, monkeypatch):
     monkeypatch.setattr(cli, "range_exists", lambda a, n_max: real(a, n_max) | (1 << 4))
     code, out, err = run(capsys, "verify", "--a", "-7", "--max-n", "40")
     assert code == 1
-    assert err == "n=5: simple=False fast=False oracle=True\n"
+    assert err == "n=5: code=False oracle=True\n"
     assert out == (
         "verify a=-7 n=1..40: FAIL (encodable 29, missing 11, disagreements 1)\n"
     )
 
 
 def test_verify_decodes_equal_codes_once(capsys, monkeypatch):
-    # the two encoders agree on every code here, so each n costs one decode
+    # the two encoders give one code for each n, so each n costs one decode
     calls = []
     real = cli.decode_many
     monkeypatch.setattr(cli, "decode_many", lambda a, codes: calls.extend(codes) or real(a, codes))
@@ -442,33 +472,30 @@ def test_verify_decodes_equal_codes_once(capsys, monkeypatch):
     assert len(calls) == 29
 
 
-def test_verify_reports_both_codes_when_equal_codes_decode_wrong(capsys, monkeypatch):
-    # n = 30 has the code 00100011 from both encoders; one decode serves both checks
+def test_verify_reports_a_wrong_code_once(capsys, monkeypatch):
+    # n = 30 has the code 00100011 from both encoders: one line, one disagreement
     real = cli.decode_many
     monkeypatch.setattr(cli, "decode_many", lambda a, codes: [
         n + (code == "00100011") for n, code in zip(real(a, codes), codes)])
     code, out, err = run(capsys, "verify", "--a", "-7", "--max-n", "40")
     assert code == 1
-    assert err == (
-        "n=30: fast code 00100011 decodes wrong\n"
-        "n=30: simple code 00100011 decodes wrong\n"
-    )
+    assert err == "n=30: code 00100011 decodes to 31\n"
     assert out == (
-        "verify a=-7 n=1..40: FAIL (encodable 29, missing 11, disagreements 2)\n"
+        "verify a=-7 n=1..40: FAIL (encodable 29, missing 11, disagreements 1)\n"
     )
 
 
-def _with_codes(walk, fast_at):
+def _with_codes(walk, codes_at):
     """A _leaf_codes stand-in: walk's leaves with the codes of some n replaced.
 
-    fast_at maps n to the code put in its place.
+    codes_at maps n to the code put in its place.
     """
 
-    def leaves(a, n_max):
-        for first, codes in walk(a, n_max):
+    def leaves(a, lo, hi):
+        for first, codes in walk(a, lo, hi):
             ns = range(first, first + len(codes))
-            if any(n in fast_at for n in ns):
-                codes = [fast_at.get(n, code) for n, code in zip(ns, codes)]
+            if any(n in codes_at for n in ns):
+                codes = [codes_at.get(n, code) for n, code in zip(ns, codes)]
             yield first, codes
 
     return leaves
@@ -481,7 +508,7 @@ def _with_codes(walk, fast_at):
 ])
 def test_verify_exits_2_on_the_first_malformed_code(capsys, monkeypatch, bad, message):
     # n = 30 and n = 38 get bad codes; the first one is reported
-    walk = _with_codes(cli._leaf_codes, fast_at={30: bad, 38: "2"})
+    walk = _with_codes(cli._leaf_codes, codes_at={30: bad, 38: "2"})
     monkeypatch.setattr(cli, "_leaf_codes", walk)
     code, out, err = run(capsys, "verify", "--a", "-7", "--max-n", "40")
     assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -501,8 +528,8 @@ def test_verify_reports_flipped_oracle_bits_inside_a_good_leaf(capsys, monkeypat
     code, out, err = run(capsys, "verify", "--a", "-7", "--max-n", "1100")
     assert code == 1
     assert err == (
-        "n=1003: simple=True fast=True oracle=False\n"
-        "n=1005: simple=False fast=False oracle=True\n"
+        "n=1003: code=True oracle=False\n"
+        "n=1005: code=False oracle=True\n"
     )
     assert out == (
         "verify a=-7 n=1..1100: FAIL (encodable 784, missing 316, disagreements 2)\n"
@@ -551,7 +578,7 @@ def test_verify_keeps_only_the_failures_it_prints(capsys, monkeypatch):
     finally:
         tracemalloc.stop()
     assert code == 1
-    assert err == "".join(f"n={n}: simple=False fast=False oracle=True\n" for n in missing[:20])
+    assert err == "".join(f"n={n}: code=False oracle=True\n" for n in missing[:20])
     assert out == (
         f"verify a=-7 n=1..40000: FAIL (encodable {40000 - len(missing)}, "
         f"missing {len(missing)}, disagreements {len(missing)})\n"

@@ -242,25 +242,9 @@ def test_outcome_split_invariant():
 def test_round_trip_and_algorithm_agreement(a, n):
     fast = encode_fast(a, n)
     simple = encode_simple(a, n)
-    assert (fast is None) == (simple is None)
     if fast is not None:
         assert decode(a, fast.code) == n
         assert decode(a, simple.code) == n
-
-
-def test_algorithm_code_divergences_are_flagged():
-    # the two encoders emit the same code for every n: the greedy tail sum
-    # is the largest reachable, so its leftover is the smallest workable
-    # n0, which ascending search hits first
-    diffs = []
-    for a in (-2, -5, -9, -16):
-        for n in range(1, 800):
-            simple = encode_simple(a, n)
-            fast = encode_fast(a, n)
-            assert (simple is None) == (fast is None)
-            if simple is not None and simple.code != fast.code:
-                diffs.append((a, n, simple.code, fast.code))
-    assert diffs == []
 
 
 def _simple_leftovers(a, n):
@@ -323,10 +307,10 @@ def _code(outcome):
     return outcome and outcome.code
 
 
-def _walk_pairs(a, n_max):
-    """(n, code) for n in 1..n_max, read off _leaf_codes."""
-    n = 1
-    for first, codes in _leaf_codes(a, n_max):
+def _walk_pairs(a, n_max, lo=1):
+    """(n, code) for n in lo..n_max, read off _leaf_codes."""
+    n = lo
+    for first, codes in _leaf_codes(a, lo, n_max):
         assert first == n and len(codes) > 0
         yield from zip(range(first, first + len(codes)), codes)
         n += len(codes)
@@ -372,7 +356,7 @@ def test_outcome_pairs_run_the_tail_greedy_once_per_leaf(monkeypatch):
         return _tail_greedy(terms, target)
 
     monkeypatch.setattr(ghcodec, "_tail_greedy", counted)
-    leaves = sum(1 for _ in _leaf_codes(-7, 21085))
+    leaves = sum(1 for _ in _leaf_codes(-7, 1, 21085))
     # one greedy per n and one per tried leftover made 64,650 calls; the rest
     # over one per leaf are the templates' resumes, one per (lowest pick, r)
     assert 1000 < leaves < calls < 3000
@@ -393,14 +377,18 @@ def _finish_residuals(a):
 
 def test_finish_tries_one_leftover_for_both_encoders():
     # encode_simple's docstring: of every cover above an uncovered r, only f = 01010
-    # can work, so resuming from each in turn finds what resuming from f alone finds
+    # can work, so resuming from each in turn finds what resuming from f alone finds.
+    # And _leaf_template's premise: only the covered r and r = f - term(5)
+    # have a code, so a template lists no other residual
     for a in (*range(-60, -1), -1000, -5000, -100000, -10**30):
         entries = remainder_table(a).entries
         terms, residuals = gh_sequence(a).prefix(27), _finish_residuals(a)
+        coded = {*entries, terms[1] + terms[3] - terms[4]}
         for pm in range(6, 28):
             for r in residuals:
-                assert (_finish(entries, terms, (pm,), r, ghcodec._above)
-                        == _finish(entries, terms, (pm,), r, ghcodec._fallback)), (a, pm, r)
+                found = _finish(entries, terms, (pm,), r, ghcodec._fallback)
+                assert _finish(entries, terms, (pm,), r, ghcodec._above) == found, (a, pm, r)
+                assert found is None or r in coded, (a, pm, r)
 
 
 def _same_outcome(a, n):
@@ -456,10 +444,38 @@ def test_leaf_codes_slice_a_leaf_cut_by_n_max_at_both_ends(monkeypatch, a, n_max
     # inside; slices of size n cut every longer leaf at both ends as well
     whole = list(_walk_pairs(a, n_max))
     monkeypatch.setattr(ghcodec, "_LEAF_SLICE", size)
-    assert all(len(codes) <= size for _, codes in _leaf_codes(a, n_max))
+    assert all(len(codes) <= size for _, codes in _leaf_codes(a, 1, n_max))
     assert list(_walk_pairs(a, n_max)) == whole
     assert whole == [(n, _code(encode_simple(a, n))) for n in range(1, n_max + 1)]
     assert whole == [(n, _code(encode_fast(a, n))) for n in range(1, n_max + 1)]
+
+
+def _windows(a):
+    """(lo, hi): inside the first leaf, from the leaf starts term(6) and term(7),
+    inside a later leaf, and one n inside a leaf."""
+    t = gh_sequence(a).term
+    return [(3, 40), (t(6), t(6) + 40), (t(7), t(7) + 60), (t(8) + 3, t(8) + 30),
+            (t(7) + 2, t(7) + 2), (1, 1)]
+
+
+@pytest.mark.parametrize("a", [*range(-20, -1), -1000, -10**30])
+def test_leaf_codes_from_lo_are_the_walk_from_1_cut_at_lo(monkeypatch, a):
+    # slices of 5 cut the longer leaves as well; _walk_pairs checks that the
+    # lists are not empty and that their first n run on from lo
+    monkeypatch.setattr(ghcodec, "_LEAF_SLICE", 5)
+    for lo, hi in _windows(a):
+        window = list(_walk_pairs(a, hi, lo))
+        assert window == [(n, _code(encode_fast(a, n))) for n in range(lo, hi + 1)], (lo, hi)
+        if hi < 10**5:  # at a = -10**30 the walk from 1 to term(6) is 2 * 10**30 long
+            assert window == [(n, code) for n, code in _walk_pairs(a, hi) if n >= lo], (lo, hi)
+
+
+@given(a=st.integers(min_value=-40, max_value=-2), lo=st.integers(min_value=1, max_value=5000),
+       size=st.integers(min_value=0, max_value=300))
+@settings(max_examples=200)
+def test_leaf_codes_from_lo_are_the_walk_from_1_cut_at_lo_on_random_windows(a, lo, size):
+    hi = lo + size
+    assert list(_walk_pairs(a, hi, lo)) == [(n, code) for n, code in _walk_pairs(a, hi) if n >= lo]
 
 
 def test_universality_spot_checks():
