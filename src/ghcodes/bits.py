@@ -7,7 +7,10 @@ only adjacent pair of ones is its final two bits; that closing pair is
 what delimits codewords in a stream.
 """
 
+import math
+import sys
 from collections.abc import Iterable, Iterator, Sequence
+from functools import lru_cache
 from itertools import compress, repeat
 
 from ghcodes.sequences import FibSequence, GHSequence
@@ -26,12 +29,64 @@ __all__ = [
 
 
 class MalformedCodeError(ValueError):
-    """A codeword breaks a structural rule; offset is the 0-based bit position."""
+    """A codeword breaks a structural rule or the digit limit; offset is the 0-based bit position."""
 
     def __init__(self, rule: str, offset: int):
         super().__init__(f"{rule} (bit offset {offset})")
         self.rule = rule
         self.offset = offset
+
+
+def _fib_pair(n: int) -> tuple[int, int]:
+    """(F(n), F(n + 1)) for the Fibonacci numbers F(0) = 0, F(1) = 1, by fast doubling."""
+    f, g = 0, 1
+    for bit in bin(n)[2:]:
+        f, g = f * (2 * g - f), f * f + g * g  # F(2k), F(2k + 1) from F(k), F(k + 1)
+        if bit == "1":
+            f, g = g, f + g
+    return f, g
+
+
+@lru_cache(maxsize=None)
+def _limit_at(digits: int) -> tuple[float, float]:
+    if not digits:
+        return math.inf, math.inf
+    bound = 10**digits
+    # F(i) is within 1 of phi^i / sqrt(5): start from that estimate, then settle it exactly
+    i = int((digits * math.log(10) + math.log(5) / 2) / math.log((1 + math.sqrt(5)) / 2))
+    while _fib_pair(i)[0] >= bound:
+        i -= 1
+    while _fib_pair(i)[1] < bound:
+        i += 1
+    return i + 2, bound  # F(i) < bound <= F(i + 1)
+
+
+def _digit_limit() -> tuple[float, float]:
+    """(L, 10^D): the longest codeword a decoder evaluates, and the bound its value must stay below.
+
+    D is sys.get_int_max_str_digits(), read at each call, so every value
+    a decoder returns can be printed; 0 (no limit) makes both infinite.
+    L is the largest l with F(l - 2) < 10^D, where F(1) = F(2) = 1 are
+    the Fibonacci numbers: 20,579 at D = 4,300 and 3,066 at D = 640.
+
+    Every codeword of l >= 5 bits is worth at least F(l - 2), under fib
+    and under gh at every a <= -2, so a word longer than L is past the
+    bound and is refused without being evaluated. The word less its
+    closing 1 has its top 1 at index l - 1 and its other ones at l - 3
+    or below. Fib terms are positive, with term(i) = F(i + 1), so the
+    word is worth at least F(l). Of the gh terms only term(1) = a is
+    negative, so the word is worth at least term(l - 1) + a: that is
+    term(4) + a = 2 = F(3) at l = 5, term(5) + a = 3 = F(4) at l = 6,
+    and for i >= 6, term(i) = F(i - 1) - a F(i - 3) (it holds at i = 6
+    and 7, and both sides add like the sequence), so term(i) + a =
+    F(i - 1) - a (F(i - 3) - 1) >= F(i - 1). The shorter words below
+    the bound are the non-positive "11" and "1011" of gh, and L >= 7.
+
+    Cached per D, and computed by fast doubling from an estimate, so no
+    shared sequence grows: fib_sequence() to L terms holds about 19 MB.
+    An interpreter without the limit (before 3.10.7) has no limit here.
+    """
+    return _limit_at(getattr(sys, "get_int_max_str_digits", int)())
 
 
 # byte -> 1 for b"1", 0 for every other byte; non-ASCII characters are
@@ -95,7 +150,10 @@ def to_codeword(bits: str) -> str:
 
 
 def validate_codeword(code: str) -> None:
-    """Raise MalformedCodeError unless code is structurally valid."""
+    """Raise MalformedCodeError unless code is structurally valid and within _digit_limit's L."""
+    limit = _digit_limit()[0]
+    if len(code) > limit:  # worth 10^D or more (_digit_limit), checked before the O(len) rules
+        raise MalformedCodeError(f"codeword longer than {limit} bits", limit)
     if code.strip("01"):  # only a bad character survives the strip
         for i, ch in enumerate(code):
             if ch not in "01":

@@ -146,8 +146,10 @@ def _write_lines(lines: Iterable[str]) -> None:
 def _write_values(values: Iterable[int]) -> None:
     """Write each value in decimal and a newline to stdout, _WRITE_LINES values per write.
 
-    One %-format per batch makes no string per value; it raises the same
-    ValueError as str() for a value past the interpreter's digit limit.
+    One %-format per batch makes no string per value. No decoder yields
+    a value past the interpreter's digit limit (bits._digit_limit), so
+    strict decoding prints every value it checked; such a value would
+    raise the same ValueError as str().
     """
     values = iter(values)
     while batch := tuple(islice(values, _WRITE_LINES)):

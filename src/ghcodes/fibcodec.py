@@ -31,7 +31,7 @@ slower.
 from bisect import bisect_right
 from functools import lru_cache
 
-from ghcodes.bits import from_codeword, value
+from ghcodes.bits import MalformedCodeError, _digit_limit, from_codeword, value
 from ghcodes.sequences import fib_sequence
 
 __all__ = ["fib_decode", "fib_encode"]
@@ -98,5 +98,12 @@ def fib_encode(n: int) -> str:
 
 
 def fib_decode(code: str) -> int:
-    """Integer a codeword stands for; structure is validated first."""
-    return value(fib_sequence(), from_codeword(code))
+    """Integer a codeword stands for; structure and length are validated first.
+
+    A value of 10^D or more, D the digit limit of bits._digit_limit, is
+    a MalformedCodeError, as the longer words are.
+    """
+    n = value(fib_sequence(), from_codeword(code))
+    if n >= _digit_limit()[1]:
+        raise MalformedCodeError("codeword value past the integer digit limit", 0)
+    return n

@@ -18,7 +18,7 @@ from itertools import repeat
 from operator import itemgetter, sub
 from typing import NamedTuple
 
-from ghcodes.bits import from_codeword, normalize, value, values
+from ghcodes.bits import MalformedCodeError, _digit_limit, from_codeword, normalize, value, values
 # unused here, but the benchmark tracer (perfbench/tracer.py) patches these names
 from ghcodes.bits import to_codeword, trim_trailing_zeros  # noqa: F401
 from ghcodes.sequences import CACHED_PARAMETERS, GHSequence, gh_sequence
@@ -32,7 +32,6 @@ __all__ = [
     "encode_fast",
     "encode_simple",
     "exists",
-    "greedy_remaining",
     "missing_runs",
     "remainder_table",
 ]
@@ -132,7 +131,7 @@ def _tail_greedy(terms: list[int], target: int) -> tuple[tuple[int, ...], int]:
     return tuple(picked), target
 
 
-def greedy_remaining(a: int, n: int) -> tuple[tuple[int, ...], int, int]:
+def _greedy_remaining(a: int, n: int) -> tuple[tuple[int, ...], int, int]:
     """Split n into tail picks, their sum n1, and the leftover n0 < term(6).
 
     Picks come out strictly decreasing with no two adjacent indices:
@@ -449,10 +448,16 @@ def missing_runs(a: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
 
 
 def decode(a: int, code: str) -> int:
-    """Validate structure, strip the closing 1, evaluate, require >= 1."""
+    """Validate structure and length, strip the closing 1, evaluate, require 1 <= n < 10^D.
+
+    D is the digit limit of bits._digit_limit. A word within its length
+    limit can still reach 10^D, as every word can at a large enough |a|.
+    """
     n = value(gh_sequence(a), from_codeword(code))
     if n < 1:
         raise NonPositiveValueError(n, code)
+    if n >= _digit_limit()[1]:
+        raise MalformedCodeError("codeword value past the integer digit limit", 0)
     return n
 
 
@@ -463,22 +468,26 @@ def decode_many(a: int, codes: Sequence[str]) -> list[int]:
     """[decode(a, code) for code in codes], raising what that loop raises first.
 
     The batch is checked at once, with no Python call per code, against
-    the rules of bits.validate_codeword: only "0" and "1", and the first
-    pair of ones at the end. One prefix of the terms then serves every
-    code, and every value must be >= 1. A code shorter than the closing
+    the rules of bits.validate_codeword: the length limit, only "0" and
+    "1", and the first pair of ones at the end. One prefix of the terms
+    then serves every code, and every value must be >= 1 and below the
+    digit limit's bound. A code shorter than the closing
     pair passes the pair check only as "0" or "1", and its value is 0.
     Should any check fail, decode runs over the codes in order, so the
     error is the one the first bad code gives.
     """
     lengths = list(map(len, codes))
+    longest = max(lengths, default=1)
+    limit, bound = _digit_limit()
     if (
+        longest > limit
         # a character other than "0" or "1" survives, as itself or as "?"
-        "".join(codes).encode("ascii", "replace").translate(None, b"01")
+        or "".join(codes).encode("ascii", "replace").translate(None, b"01")
         or list(map(str.find, codes, repeat("11"))) != list(map(sub, lengths, repeat(2)))
     ):
         return [decode(a, code) for code in codes]
-    terms = gh_sequence(a).prefix(max(lengths, default=1) - 1)
+    terms = gh_sequence(a).prefix(longest - 1)
     ns = list(values(terms, map(_BODY, codes)))
-    if min(ns, default=1) < 1:
+    if min(ns, default=1) < 1 or max(ns, default=0) >= bound:
         return [decode(a, code) for code in codes]
     return ns

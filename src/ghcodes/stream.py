@@ -26,13 +26,20 @@ turns _CHUNK_BYTES (4096) bytes at a time into bits and splits them at
 each closing pair, carrying only the unfinished word into the next
 chunk. So a decoder holds the payload, one chunk's bits and words, and
 one word that runs past a chunk, never a string of the whole payload or
-a value per word. One scan over the frames finds each chunk's garbage,
-the words below 1: only the short pieces of _SHORT_PIECES can be, so
-it evaluates those alone and searches a chunk only for the ones it
-holds. The strict decoder runs that scan as a first pass over the
-whole payload, evaluating no other word, so it fails before its caller
-sees any value; it then returns an iterable that decodes the values
-chunk by chunk. resync_decode checks the header at once and returns a
+a value per word. That unclosed word is bounded too: past L bits
+(bits._digit_limit), which no decoder evaluates, only its width is
+kept. One scan over the frames finds each chunk's garbage, the words
+below 1: only the short pieces of _SHORT_PIECES can be, so it
+evaluates those alone and searches a chunk only for the ones it holds.
+The strict decoder runs that scan as a first pass over the whole
+payload. It also takes each chunk's longest word, and refuses a word
+longer than L or worth 10^D or more, the values that could not be
+printed; only words within _NEAR_BITS of L can be, so it evaluates
+those alone. So it fails before its caller sees any value; it then
+returns an iterable that decodes the values chunk by chunk. The
+resync scan reports those refused words as garbage spans, and finds
+them only in a chunk its memo cannot evaluate, where it already has
+the longest word. resync_decode checks the header at once and returns a
 scan that yields its tokens one at a time. It evaluates each chunk of
 the scan in one call and computes bit spans only for its garbage, and
 the CLI prints each chunk's values and garbage spans from it without a
@@ -59,7 +66,7 @@ from itertools import accumulate, chain, compress, islice, pairwise
 from operator import add, itemgetter
 from typing import NamedTuple
 
-from ghcodes.bits import value, values
+from ghcodes.bits import _digit_limit, value, values
 from ghcodes.fibcodec import fib_encode
 from ghcodes.ghcodec import encode_fast
 from ghcodes.sequences import FibSequence, GHSequence, fib_sequence, gh_sequence
@@ -89,6 +96,13 @@ _MEMO_MAX_BITS = 24
 _BATCH_VALUES = 8192
 # payload bytes the decoders turn into bits at a time
 _CHUNK_BYTES = 4096
+# a codeword of l bits is worth less than (|a| + 3) F(l + 1), F(1) = F(2) = 1:
+# the ones sit at non-adjacent indices below l, every |term(i)| is at most
+# (|a| + 3) F(i + 1), and F(2) + ... over non-adjacent indices up to l stays
+# below F(l + 1). With |a| <= 2^15 (the header's field) and F(L - 2) >=
+# F(24) F(L - 25) > (2^15 + 3) F(L - 25), a word no longer than L - 26 bits
+# stays below 10^D (bits._digit_limit); only longer ones are evaluated for it
+_NEAR_BITS = 26
 # every piece of at most 2 bits (a piece never ends in 1), and the only
 # ones a word below 1 can have: term(1) = a is the only negative term, and
 # a 1 at index >= 4 adds at least 2 - a
@@ -108,10 +122,17 @@ class PayloadError(ValueError):
 
 
 class UnencodableValueError(ValueError):
-    """A value with no code under the requested codec and parameter."""
+    """A value with no code under the requested codec and parameter, or one the decoders refuse.
+
+    The decoders refuse a value of 10^D or more (bits._digit_limit),
+    which the message gives by its bit length, as str() cannot print it.
+    """
 
     def __init__(self, value: int, a: int):
-        super().__init__(f"no code exists for value {value} at a={a}")
+        if value < _digit_limit()[1]:
+            super().__init__(f"no code exists for value {value} at a={a}")
+        else:
+            super().__init__(f"value of {value.bit_length()} bits is past the integer digit limit at a={a}")
         self.value = value
         self.a = a
 
@@ -157,10 +178,16 @@ def codeword_encoder(codec: str, a: int) -> Callable[[int], str | None]:
 
 
 def stream_encode(codec: str, a: int, values: Iterable[int]) -> bytes:
-    """Build a document; byte output is deterministic for the same inputs."""
+    """Build a document; byte output is deterministic for the same inputs.
+
+    Raises UnencodableValueError for a value with no code, and for one
+    of 10^D or more (bits._digit_limit), which the decoders would refuse.
+    """
     encode = codeword_encoder(codec, a)
     if a < _A_MIN:
         raise ValueError(f"parameter a must be >= {_A_MIN} to fit the header, got {a}")
+    limit, bound = _digit_limit()
+    near = limit - _NEAR_BITS  # no shorter code is worth bound (_NEAR_BITS)
     memo: dict[int, str] = {}
     payload = bytearray()
     count = bit_length = 0
@@ -176,6 +203,8 @@ def stream_encode(codec: str, a: int, values: Iterable[int]) -> bytes:
                     raise UnencodableValueError(v, a)
                 if len(code) <= _MEMO_MAX_BITS:
                     memo[v] = code
+                elif len(code) > near and v >= bound:  # the decoders would refuse it
+                    raise UnencodableValueError(v, a)
             words.append(code)
         if len(words) == 1:
             break
@@ -208,6 +237,46 @@ def _parse_header(data: bytes) -> tuple[GHSequence | FibSequence, int, int, memo
     return seq, count, bit_length, memoryview(data)[_HEADER.size :]
 
 
+def _refused(seq: GHSequence | FibSequence, pieces: list[str], longest: int,
+             limits: tuple[float, float]) -> list[int]:
+    """Indices of the pieces whose codewords a decoder refuses, longest the longest piece's length.
+
+    A codeword longer than L, or worth 10^D or more, is refused, where
+    limits is (L, 10^D) (bits._digit_limit). Only one longer than
+    L - _NEAR_BITS can be worth that much under a header's a, so only
+    those are looked at, and only those of at most L bits are evaluated.
+    """
+    limit, bound = limits
+    near = limit - _NEAR_BITS
+    if longest + 2 <= near:
+        return []
+    return [i for i, piece in enumerate(pieces) if len(piece) + 2 > near
+            and (len(piece) + 2 > limit or value(seq, piece + "1") >= bound)]
+
+
+def _spans(start: int, pieces: list[str], at: Iterable[int]) -> list[tuple[int, int, int]]:
+    """(i, lo, hi) per i in at: the bits of piece i's word, closing pair included."""
+    # ends[i] is where piece i starts, less the 2 * i bits of the pairs before it
+    ends = list(accumulate(map(len, pieces), initial=start))
+    return [(i, ends[i] + 2 * i, ends[i + 1] + 2 * i + 2) for i in at]
+
+
+class _Dropped(str):
+    """A piece too long to decode, kept as its width: len() gives that, and it holds no bits.
+
+    Its text is "11", which no piece holds, so no lookup of a piece
+    can match it.
+    """
+
+    def __new__(cls, width: int):
+        piece = super().__new__(cls, "11")
+        piece.width = width
+        return piece
+
+    def __len__(self) -> int:
+        return self.width
+
+
 class _WordValues(dict):
     """piece -> value for one decode pass, under the sequence a header names.
 
@@ -217,28 +286,40 @@ class _WordValues(dict):
     kept. A longer piece is a KeyError: then chunk() evaluates every
     piece of the chunk in C-level maps over one prefix of the terms, the
     longest piece + 1 long, with no Python call per piece, and keeps
-    none of them. So a memo hit costs no length check.
+    none of them. So a memo hit costs no length check, and only that
+    path, which has the longest piece, looks for refused pieces.
     """
 
-    def __init__(self, seq: GHSequence | FibSequence):
+    def __init__(self, seq: GHSequence | FibSequence, limits: tuple[float, float]):
         self.seq = seq  # dict.__new__ has made the empty memo
+        self.limits = limits
 
     def __missing__(self, piece: str) -> int:
         if len(piece) + 2 > _MEMO_MAX_BITS:
             raise KeyError(piece)
         return self.setdefault(piece, value(self.seq, piece + "1"))
 
-    def chunk(self, pieces: list[str]) -> list[int]:
-        """The values of a chunk's pieces, in order."""
+    def chunk(self, pieces: list[str]) -> tuple[list[int], list[int]]:
+        """The values of a chunk's pieces in order, and the indices _refused gives, valued 0."""
         try:
-            return list(map(self.__getitem__, pieces))
+            return list(map(self.__getitem__, pieces)), []
         except KeyError:
+            longest = max(map(len, pieces))
+            refused = _refused(self.seq, pieces, longest, self.limits)
+            if refused:  # evaluated as "", then set to 0
+                pieces = pieces.copy()
+                for i in refused:
+                    pieces[i] = ""
+                longest = max(map(len, pieces))
             # the sum of the terms at a piece's ones, plus its closing 1
-            terms = self.seq.prefix(max(map(len, pieces)) + 1)
-            return list(map(add, values(terms, pieces), map(terms.__getitem__, map(len, pieces))))
+            terms = self.seq.prefix(longest + 1)
+            found = list(map(add, values(terms, pieces), map(terms.__getitem__, map(len, pieces))))
+            for i in refused:
+                found[i] = 0
+            return found, refused
 
 
-def _frames(payload: memoryview, avail: int) -> Iterator[tuple[int, list[str]]]:
+def _frames(payload: memoryview, avail: int, limit: float) -> Iterator[tuple[int, list[str]]]:
     """The complete pieces in the first avail bits of a payload, chunk by chunk.
 
     A piece runs from the start of a word to the next 11 pair, the first
@@ -247,13 +328,17 @@ def _frames(payload: memoryview, avail: int) -> Iterator[tuple[int, list[str]]]:
     completes a piece, yields the bit offset of its first piece and its
     pieces in order. The unfinished last piece is carried into the next
     chunk as a list of parts, joined once when the piece closes, so the
-    time stays linear in avail however long a piece runs. Last comes a
+    time stays linear in avail however long a piece runs. Once its word
+    is longer than limit, L of bits._digit_limit, which no decoder evaluates,
+    only its width and its last bit are kept, and it closes as a
+    _Dropped piece; so the memory stays bounded as well. Last comes a
     chunk with no pieces, at the offset where the last piece ends: an
     unterminated tail starts there, and it is never yielded.
     """
     size = _CHUNK_BYTES  # read per call, so a test can put boundaries anywhere
     nbytes = (avail + 7) // 8
-    held: list[str] = []  # parts of the unfinished piece, less a final 1
+    held: list[str] = []  # parts of the unfinished piece, less a final 1, while it fits
+    width = 0  # the bits of that piece, held or not
     lead = ""  # that final 1, which may open a pair with the next chunk
     start = 0  # bit offset of the unfinished piece
     for first in range(0, nbytes, size):
@@ -265,12 +350,16 @@ def _frames(payload: memoryview, avail: int) -> Iterator[tuple[int, list[str]]]:
         tail = parts.pop()
         lead = tail[-1:] if tail.endswith("1") else ""
         if parts:
+            width += len(parts[0])
             held.append(parts[0])
-            parts[0] = "".join(held)
+            parts[0] = "".join(held) if width + 2 <= limit else _Dropped(width)
             yield start, parts
-            held = []
+            held, width = [], 0
             start = end - len(tail)
         held.append(tail[: len(tail) - len(lead)])
+        width += len(held[-1])
+        if width + 2 > limit:
+            held.clear()
     yield start, []
 
 
@@ -278,10 +367,12 @@ def stream_decode(data: bytes) -> Iterable[int]:
     """Check that the payload parses into exactly the declared count, or raise.
 
     PayloadError covers truncation, a codeword without its closing pair,
-    a codeword evaluating to a non-positive integer, leftover bits past
+    a codeword evaluating to a non-positive integer, a codeword longer
+    than L or worth 10^D or more (bits._digit_limit), leftover bits past
     the declared count, and nonzero padding; it is raised by the call,
     before any value is seen. Returns an iterable of the values that
-    decodes the payload anew, chunk by chunk, each time it is iterated.
+    decodes the payload anew, chunk by chunk, each time it is iterated,
+    under the digit limit that was in force at the call.
     """
     seq, count, bit_length, payload = _parse_header(data)
     expected_bytes = (bit_length + 7) // 8
@@ -290,13 +381,21 @@ def stream_decode(data: bytes) -> Iterable[int]:
     if len(payload) > expected_bytes:
         raise PayloadError("trailing bytes after the payload", bit_length)
     values = _Values(seq, bit_length, payload)
+    limit = values._limits[0]
     left = count
     # the scan ends with a chunk of no pieces, so start and words are always set
     for start, pieces, garbage in values._scan():
-        if garbage and garbage[0][0] < left:
-            v = value(seq, pieces[garbage[0][0]] + "1")
-            raise PayloadError(f"codeword decodes to non-positive value {v}", garbage[0][1])
         words = pieces[:left]
+        refused = _refused(seq, words, max(map(len, words), default=0), values._limits)
+        if refused:
+            garbage = sorted(garbage + _spans(start, pieces, refused))
+        if garbage and garbage[0][0] < left:
+            i, lo, _ = garbage[0]
+            if len(pieces[i]) + 2 > limit:
+                raise PayloadError(f"codeword longer than {limit} bits", lo)
+            v = value(seq, pieces[i] + "1")
+            raise PayloadError(f"codeword decodes to non-positive value {v}" if v < 1
+                               else "codeword value past the integer digit limit", lo)
         left -= len(words)
         if not left:
             break
@@ -313,10 +412,15 @@ def stream_decode(data: bytes) -> Iterable[int]:
 
 
 class _Payload:
-    """The payload bits a header declares, as far as the payload holds them."""
+    """The payload bits a header declares, as far as the payload holds them.
+
+    The digit limit (bits._digit_limit) is read once, here, at the
+    decoder's call, and every pass over the payload keeps to it.
+    """
 
     def __init__(self, seq: GHSequence | FibSequence, bit_length: int, payload: memoryview):
         self._seq = seq
+        self._limits = _digit_limit()
         self._avail = min(bit_length, len(payload) * 8)
         self._payload = payload
 
@@ -329,21 +433,21 @@ class _Payload:
         chunk that holds one of them is searched and measured.
         """
         below = [p for p in _SHORT_PIECES if value(self._seq, p + "1") < 1]
-        for start, pieces in _frames(self._payload, self._avail):
+        for start, pieces in _frames(self._payload, self._avail, self._limits[0]):
             low = {p for p in below if p in pieces}
-            at = compress(range(len(pieces)), map(low.__contains__, pieces)) if low else ()
-            # ends[i] is where piece i starts, less the 2 * i bits of the pairs before it
-            ends = list(accumulate(map(len, pieces), initial=start)) if low else ()
-            yield start, pieces, [(i, ends[i] + 2 * i, ends[i + 1] + 2 * i + 2) for i in at]
+            at = compress(range(len(pieces)), map(low.__contains__, pieces))
+            yield start, pieces, _spans(start, pieces, at) if low else []
 
 
 class _Values(_Payload):
     """The values of one checked payload, decoded anew on each iteration."""
 
     def __iter__(self) -> Iterator[int]:
-        pieces = map(itemgetter(1), _frames(self._payload, self._avail))
-        # chained in C: no Python frame resumes per chunk or per value
-        return chain.from_iterable(map(_WordValues(self._seq).chunk, pieces))
+        pieces = map(itemgetter(1), _frames(self._payload, self._avail, self._limits[0]))
+        # chained in C: no Python frame resumes per chunk or per value. The
+        # check refused every word that chunk() would, so none is valued 0
+        evaluated = map(_WordValues(self._seq, self._limits).chunk, pieces)
+        return chain.from_iterable(map(itemgetter(0), evaluated))
 
 
 class _ResyncScan(_Payload):
@@ -356,9 +460,12 @@ class _ResyncScan(_Payload):
         read. An unterminated tail comes last, as a chunk of one garbage
         word of value 0.
         """
-        word_values = _WordValues(self._seq)
+        word_values = _WordValues(self._seq, self._limits)
         for start, pieces, garbage in self._scan():
-            yield start, map(partial(add, 2), map(len, pieces)), word_values.chunk(pieces), garbage
+            found, refused = word_values.chunk(pieces)
+            if refused:  # a word past the digit limit is garbage as well
+                garbage = sorted(garbage + _spans(start, pieces, refused))
+            yield start, map(partial(add, 2), map(len, pieces)), found, garbage
         # the last chunk has no pieces and starts where the tail does
         if start < self._avail:
             yield start, [self._avail - start], [0], [(0, start, self._avail)]

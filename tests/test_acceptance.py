@@ -9,11 +9,11 @@ import random
 from ghcodes.bits import MalformedCodeError, normalize, value
 from ghcodes.fibcodec import fib_encode
 from ghcodes.ghcodec import (
+    _greedy_remaining,
     decode,
     encode_fast,
     encode_simple,
     exists,
-    greedy_remaining,
     missing_runs,
     remainder_table,
 )
@@ -116,7 +116,7 @@ def test_c03_universality():
         if sorted(table.entries) != list(range(bound)) or table.gap_intervals:
             ok, detail = False, f"a={a} table misses a residual below {bound}"
         for n in (1, bound - 1, bound, 10**6, 10**30 + 7, 3**500):
-            if greedy_remaining(a, n)[2] >= bound:
+            if _greedy_remaining(a, n)[2] >= bound:
                 ok, detail = False, f"a={a} n={n} greedy residual not below {bound}"
     _verdict("03 universality for every n: table total on [0, term(6))", ok, detail)
 
@@ -268,7 +268,7 @@ def test_c10_property_suite():
         for _ in range(2000):
             a = rng.randint(-20, -2)
             n = rng.randint(1, 10**5)
-            picked, _, _ = greedy_remaining(a, n)
+            picked, _, _ = _greedy_remaining(a, n)
             taken = set(picked)
             if any(i + 1 in taken for i in taken):
                 ok, detail = False, f"adjacent picks for a={a} n={n}"

@@ -9,6 +9,7 @@ from ghcodes.ghcodec import (
     EncodeOutcome,
     NonPositiveValueError,
     _finish,
+    _greedy_remaining,
     _leaf_codes,
     _tail_greedy,
     _tail_terms,
@@ -17,7 +18,6 @@ from ghcodes.ghcodec import (
     encode_fast,
     encode_simple,
     exists,
-    greedy_remaining,
     missing_runs,
     remainder_table,
 )
@@ -71,14 +71,14 @@ def test_gap_intervals_match_exhaustive_five_bit_search():
 
 
 def test_greedy_examples():
-    assert greedy_remaining(-2, 10) == ((6,), 9, 1)
-    assert greedy_remaining(-2, 7) == ((), 0, 7)
-    assert greedy_remaining(-4, 135) == ((10, 8, 6), 132, 3)
+    assert _greedy_remaining(-2, 10) == ((6,), 9, 1)
+    assert _greedy_remaining(-2, 7) == ((), 0, 7)
+    assert _greedy_remaining(-4, 135) == ((10, 8, 6), 132, 3)
 
 
 @given(a=params, n=st.integers(min_value=1, max_value=10**6))
 def test_greedy_split_contract(a, n):
-    picked, n1, n0 = greedy_remaining(a, n)
+    picked, n1, n0 = _greedy_remaining(a, n)
     seq = gh_sequence(a)
     assert n0 + n1 == n
     assert 0 <= n0 < seq.term(6)
@@ -412,7 +412,7 @@ def _leaf_of(a, r, pm_is_6):
     """The first n above term(8) whose greedy leaves r, in a leaf with or without pick 6."""
     n = gh_sequence(a).term(8)
     while True:
-        picks, _, residual = greedy_remaining(a, n)
+        picks, _, residual = _greedy_remaining(a, n)
         if residual == r and (picks[-1] == 6) == pm_is_6:
             return n, picks
         n += 1
@@ -546,8 +546,8 @@ def test_every_run_is_one_gap_interval_of_its_leaf():
         hi = gh_sequence(a).term(16)
         runs = list(missing_runs(a, 1, hi))
         for start, length in runs:
-            r_first = greedy_remaining(a, start)[2]
-            r_last = greedy_remaining(a, start + length - 1)[2]
+            r_first = _greedy_remaining(a, start)[2]
+            r_last = _greedy_remaining(a, start + length - 1)[2]
             assert r_last - r_first == length - 1, (a, start)  # one leaf
             lo_gap, hi_gap = next(g for g in intervals if g[0] <= r_first <= g[1])
             assert r_first == lo_gap and hi_gap - 1 <= r_last <= hi_gap, (a, start)

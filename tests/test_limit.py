@@ -1,0 +1,282 @@
+"""The digit limit where words enter the decoders (bits._digit_limit).
+
+Every value a decoder returns must be printable under the interpreter's
+digit limit D, and a word past it must cost no more than its size.
+"""
+
+import math
+import os
+import struct
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+from ghcodes import sequences
+from ghcodes.bits import MalformedCodeError, _digit_limit, _limit_at, validate_codeword, value
+from ghcodes.cli import main
+from ghcodes.fibcodec import fib_decode, fib_encode
+from ghcodes.ghcodec import decode, decode_many, encode_fast, missing_runs
+from ghcodes.sequences import fib_sequence, gh_sequence
+from ghcodes.stream import (
+    PayloadError,
+    ResyncToken,
+    UnencodableValueError,
+    resync_decode,
+    stream_decode,
+    stream_encode,
+)
+
+# the 60,000-bit fib codeword of a 7,524-byte stream file: 59,998 zeros, then the pair
+LONG_WORD = "0" * 59_998 + "11"
+
+
+def _fib(n: int) -> int:
+    """F(n), with F(1) = F(2) = 1."""
+    f, g = 0, 1
+    for _ in range(n):
+        f, g = g, f + g
+    return f
+
+
+def _document(codec_byte: int, a: int, count: int, bits: str) -> bytes:
+    padded = bits + "0" * (-len(bits) % 8)
+    payload = int(padded, 2).to_bytes(len(padded) // 8, "big") if padded else b""
+    return struct.pack("<4sBBhQQ", b"GHC1", 1, codec_byte, a, count, len(bits)) + payload
+
+
+def _peak(fn):
+    """fn's result and its peak of traced memory, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _strict(blob):
+    try:
+        return list(stream_decode(blob))
+    except PayloadError as err:
+        return err.bit_offset
+
+
+# the limit itself
+
+@pytest.mark.parametrize("digits, longest", [(640, 3066), (4300, 20579)])
+def test_digit_limit_pins(int_digits, digits, longest):
+    int_digits(digits)
+    assert _digit_limit() == (longest, 10**digits)
+
+
+def test_digit_limit_zero_is_no_limit(int_digits):
+    int_digits(0)
+    assert _digit_limit() == (math.inf, math.inf)
+    validate_codeword(LONG_WORD)
+
+
+def test_limit_is_the_longest_length_whose_lower_bound_stays_below():
+    # a walk up the Fibonacci numbers, against the estimate settled by fast doubling
+    length, f, g = 3, 1, 1  # F(length - 2), F(length - 1)
+    for digits in range(1, 1201):
+        bound = 10**digits
+        while g < bound:
+            length, f, g = length + 1, g, f + g
+        assert f < bound <= g
+        assert _limit_at(digits) == (length, bound), digits
+
+
+@pytest.mark.parametrize("a", [None, *range(-40, -1), -(2**15), -(10**30)])
+def test_every_codeword_is_worth_at_least_f_of_its_length_less_two(a):
+    # the cheapest word of each length: its top 1, and for gh term(1) = a,
+    # the only negative term; the gh words of 2 and 4 bits below the bound
+    # are the non-positive "11" and "1011"
+    seq = fib_sequence() if a is None else gh_sequence(a)
+    for length in range(2 if a is None else 5, 201):
+        body = "0" * (length - 2) + "1" if a is None else "1" + "0" * (length - 3) + "1"
+        validate_codeword(body + "1")
+        assert value(seq, body) >= _fib(length - 2), length
+
+
+# the doors at D = 640, where L = 3,066
+
+_CODECS = [("fib", 0), ("gh", -2), ("gh", -7), ("gh", -(2**15))]
+
+
+def _code(codec, a, n):
+    if codec == "fib":
+        return fib_encode(n)
+    outcome = encode_fast(a, n)
+    return outcome and outcome.code
+
+
+def _decoders(codec, a):
+    """Each single and batch decoder of codec at a, as a function of one code."""
+    if codec == "fib":
+        return [fib_decode]
+    return [lambda code: decode(a, code), lambda code: decode_many(a, ["011", code])[1]]
+
+
+def _largest_below(codec, a, bound):
+    """The largest n < bound with a code."""
+    n = bound - 1
+    runs = [] if codec == "fib" else list(missing_runs(a, n - 2**16, n))
+    return runs[-1][0] - 1 if runs and sum(runs[-1]) - 1 == n else n
+
+
+def _smallest_from(codec, a, bound):
+    """The smallest n >= bound with a code."""
+    n = bound
+    runs = [] if codec == "fib" else list(missing_runs(a, n, n + 2**16))
+    return runs[0][0] + runs[0][1] if runs and runs[0][0] == n else n
+
+
+@pytest.mark.parametrize("codec, a", _CODECS)
+def test_largest_value_below_the_bound_round_trips(int_digits, codec, a):
+    int_digits(640)
+    limit, bound = _digit_limit()
+    top = _largest_below(codec, a, bound)
+    code = _code(codec, a, top)
+    assert limit - 26 < len(code) <= limit  # inside the window the stream doors evaluate
+    for decoder in _decoders(codec, a):
+        assert decoder(code) == top
+    values = [1, top, 2, top]
+    blob = stream_encode(codec, a, values)
+    assert list(stream_decode(blob)) == values
+    assert [t.value for t in resync_decode(blob)] == values
+
+
+@pytest.mark.parametrize("codec, a", _CODECS)
+def test_codes_of_the_bound_are_refused_by_every_door(int_digits, codec, a):
+    int_digits(640)
+    limit, bound = _digit_limit()
+    n = _smallest_from(codec, a, bound)
+    code = _code(codec, a, n)  # the encoders take any n
+    assert len(code) <= limit  # refused for its value, not its length
+    with pytest.raises(UnencodableValueError, match=f"value of {n.bit_length()} bits"):
+        stream_encode(codec, a, [1, n])
+    for decoder in _decoders(codec, a):
+        with pytest.raises(MalformedCodeError, match="value past the integer digit limit"):
+            decoder(code)
+    first = _code(codec, a, 1)
+    blob = _document(0 if codec == "fib" else 1, a, 2, first + code)
+    with pytest.raises(PayloadError, match="value past the integer digit limit") as err:
+        stream_decode(blob)
+    assert err.value.bit_offset == len(first)
+    width = len(first) + len(code)
+    assert list(resync_decode(blob)) == [
+        ResyncToken("value", 1, (0, len(first))),
+        ResyncToken("garbage", None, (len(first), width)),
+    ]
+    # the CLI's lines come from the chunks; the last, empty one is where a tail would start
+    chunks = [[1, 0], [(1, len(first), width)]], [[], []]
+    assert [list(c) for c in resync_decode(blob).chunks()] == list(chunks)
+
+
+def test_word_past_the_limit_is_refused_unevaluated(int_digits, monkeypatch):
+    int_digits(640)
+    limit = _digit_limit()[0]
+    word = "0" * (limit - 1) + "11"
+    lengths = []
+    prefix = sequences._AdditiveSequence.prefix
+    monkeypatch.setattr(sequences._AdditiveSequence, "prefix",
+                        lambda self, n: lengths.append(n) or prefix(self, n))
+    held = len(fib_sequence()._terms)
+    for decoder in [fib_decode, *_decoders("gh", -7)]:
+        with pytest.raises(MalformedCodeError, match=f"longer than {limit} bits"):
+            decoder(word)
+    for codec_byte, a in [(0, 0), (1, -7)]:
+        blob = _document(codec_byte, a, 1, word)
+        assert _strict(blob) == 0
+        assert list(resync_decode(blob)) == [ResyncToken("garbage", None, (0, limit + 1))]
+    assert max(lengths) < limit - 26
+    assert len(fib_sequence()._terms) == held
+
+
+# the hostile files at the default limit, D = 4,300
+
+def test_long_word_file_and_argument_are_refused_in_bounded_memory(int_digits, tmp_path, capsys):
+    int_digits(4300)
+    path = tmp_path / "long.ghc"
+    path.write_bytes(_document(0, 0, 1, LONG_WORD))
+    assert path.stat().st_size == 7524
+    expected = {
+        ("stream-unpack", str(path)): (2, "", "error: codeword longer than 20579 bits (bit offset 0)\n"),
+        ("stream-unpack", "--resync", str(path)): (0, "# garbage bits [0:60000)\n", ""),
+        ("decode", "--code", "fib", LONG_WORD):
+            (2, "", "error: codeword longer than 20579 bits (bit offset 20579)\n"),
+        ("decode", "--code", "gh", "--a", "-7", LONG_WORD):
+            (2, "", "error: codeword longer than 20579 bits (bit offset 20579)\n"),
+    }
+    for argv, outcome in expected.items():
+        start = time.perf_counter()
+        status, peak = _peak(lambda: main(list(argv)))
+        assert time.perf_counter() - start < 1, argv
+        captured = capsys.readouterr()
+        assert (status, captured.out, captured.err) == outcome
+        assert peak < 2**20, argv
+
+
+def test_strict_prints_nothing_before_a_long_word(int_digits, tmp_path, capsys):
+    int_digits(4300)
+    path = tmp_path / "late.ghc"
+    path.write_bytes(_document(0, 0, 8201, "11" * 8200 + LONG_WORD))
+    assert main(["stream-unpack", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: codeword longer than 20579 bits (bit offset 16400)\n"
+
+
+def test_pairless_megabyte_is_framed_in_bounded_memory(int_digits):
+    int_digits(4300)
+    blob = _document(0, 0, 1, "10" * 4 * 2**20)
+    assert blob[24:] == b"\xaa" * 2**20
+    offset, peak = _peak(lambda: _strict(blob))
+    assert offset == 0 and peak < 2**20
+    tokens, peak = _peak(lambda: list(resync_decode(blob)))
+    assert tokens == [ResyncToken("garbage", None, (0, 2**23))] and peak < 2**20
+
+
+def test_decode_refuses_a_short_word_past_the_bound_at_a_huge_a(int_digits, capsys):
+    int_digits(4300)
+    a = -(10**4299)
+    code = "1010101011"  # term(1) + term(3) + term(5) + term(7) + term(9) = 33 - 11a
+    assert value(gh_sequence(a), code[:-1]) >= 10**4300
+    assert main(["decode", f"--a={a}", code]) == 2
+    assert capsys.readouterr().err == "error: codeword value past the integer digit limit (bit offset 0)\n"
+
+
+def test_no_limit_decodes_the_long_word_as_before(tmp_path):
+    # in a child, as the shared Fibonacci terms it grows take about 170 MiB
+    script = f"""
+import sys
+sys.set_int_max_str_digits(0)
+from ghcodes.fibcodec import fib_decode
+from ghcodes.sequences import fib_sequence
+from ghcodes.stream import ResyncToken, resync_decode, stream_decode
+n = fib_sequence().term(59_999)
+blob = open(sys.argv[1], "rb").read()
+assert fib_decode({LONG_WORD!r}) == n
+assert list(stream_decode(blob)) == [n]
+assert list(resync_decode(blob)) == [ResyncToken("value", n, (0, 60_000))]
+"""
+    path = tmp_path / "long.ghc"
+    path.write_bytes(_document(0, 0, 1, LONG_WORD))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", script, str(path)], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_stream_decoder_keeps_the_limit_of_its_call(int_digits):
+    int_digits(4300)
+    wide = 10**640  # accepted under D = 4,300, refused under 640
+    blob = stream_encode("fib", 0, [wide, 1])
+    decoded, scan = stream_decode(blob), resync_decode(blob)
+    int_digits(640)
+    assert list(decoded) == [wide, 1]
+    assert [t.value for t in scan] == [wide, 1]
+    assert _strict(blob) == 0

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ghcodes.stream as stream
-from ghcodes.bits import value
+from ghcodes.bits import _digit_limit, value
 from ghcodes.cli import _gen_values, main
 from ghcodes.fibcodec import fib_encode
 from ghcodes.ghcodec import encode_fast
@@ -415,8 +415,8 @@ def test_memo_keeps_short_words_and_rebuilds_long_ones(monkeypatch):
     real_encode, real_value = stream.fib_encode, stream.value
 
     class RecordedWordValues(stream._WordValues):
-        def __init__(self, seq):
-            super().__init__(seq)
+        def __init__(self, seq, limits):
+            super().__init__(seq, limits)
             memos.append(self)
 
     monkeypatch.setattr(stream, "fib_encode", lambda v: built.append(v) or real_encode(v))
@@ -528,7 +528,7 @@ _HEADER_FIELDS = [(4, 1), (5, 1), (6, 2), (8, 8), (16, 8)]
 
 @st.composite
 def _mutated(draw, blob):
-    kind = draw(st.sampled_from(["flip", "truncate", "field", "append", "header"]))
+    kind = draw(st.sampled_from(["flip", "truncate", "field", "append", "header", "zeros", "long"]))
     out = bytearray(blob)
     payload_bits = 8 * (len(blob) - HEADER_SIZE)
     if kind == "flip" and payload_bits:
@@ -545,6 +545,15 @@ def _mutated(draw, blob):
     elif kind == "header":
         for i in draw(st.lists(st.integers(0, HEADER_SIZE - 1), min_size=1, max_size=4)):
             out[i] = draw(st.integers(0, 255))
+    elif kind in ("zeros", "long"):
+        # a run of zeros, or a whole word, past L (bits._digit_limit) at any
+        # bit: whatever word takes it in is too long to be evaluated
+        _, _, codec_byte, a, count, bit_length = struct.unpack_from("<4sBBhQQ", blob)
+        bits = "".join(f"{byte:08b}" for byte in blob[HEADER_SIZE:])[:bit_length]
+        limit = _digit_limit()[0]
+        run = "0" * draw(st.integers(limit - 1, 3 * limit)) + ("11" if kind == "long" else "")
+        at = draw(st.integers(0, len(bits)))
+        return _document(codec_byte, a, count, bits[:at] + run + bits[at:])
     return bytes(out)
 
 
@@ -564,8 +573,17 @@ def test_decoders_raise_only_documented_errors_under_mutation(data):
     assert [t.value for t in clean] == strict
     assert all(t.kind == "value" for t in clean)
     damaged = data.draw(_mutated(blob))
-    _decode_or_error(stream_decode, damaged)
-    tokens = _decode_or_error(resync_decode, damaged)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        _decode_or_error(stream_decode, damaged)
+        tokens = _decode_or_error(lambda b: list(resync_decode(b)), damaged)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the payload is at most a few KiB, and no word past L grows a sequence
+    assert time.perf_counter() - start < 1
+    assert peak < 2**20
     if tokens is None:
         return
     covered = min(int.from_bytes(damaged[16:24], "little"), 8 * (len(damaged) - HEADER_SIZE))
