@@ -186,8 +186,7 @@ def stream_encode(codec: str, a: int, values: Iterable[int]) -> bytes:
     encode = codeword_encoder(codec, a)
     if a < _A_MIN:
         raise ValueError(f"parameter a must be >= {_A_MIN} to fit the header, got {a}")
-    limit, bound = _digit_limit()
-    near = limit - _NEAR_BITS  # no shorter code is worth bound (_NEAR_BITS)
+    bound = _digit_limit()[1]
     memo: dict[int, str] = {}
     payload = bytearray()
     count = bit_length = 0
@@ -198,13 +197,13 @@ def stream_encode(codec: str, a: int, values: Iterable[int]) -> bytes:
         for v in islice(unread, _BATCH_VALUES):
             code = memo.get(v)
             if code is None:
+                if v >= bound:  # the decoders would refuse it
+                    raise UnencodableValueError(v, a)
                 code = encode(v)
                 if code is None:
                     raise UnencodableValueError(v, a)
                 if len(code) <= _MEMO_MAX_BITS:
                     memo[v] = code
-                elif len(code) > near and v >= bound:  # the decoders would refuse it
-                    raise UnencodableValueError(v, a)
             words.append(code)
         if len(words) == 1:
             break
