@@ -13,7 +13,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import compress, repeat
 
-from ghcodes.sequences import FibSequence, GHSequence
+from ghcodes.sequences import CACHED_PARAMETERS, FibSequence, GHSequence
 
 __all__ = [
     "MalformedCodeError",
@@ -47,46 +47,59 @@ def _fib_pair(n: int) -> tuple[int, int]:
     return f, g
 
 
-@lru_cache(maxsize=None)
-def _limit_at(digits: int) -> tuple[float, float]:
+@lru_cache(maxsize=CACHED_PARAMETERS)
+def _limit_at(digits: int, a: int = 0) -> tuple[float, float]:
     if not digits:
         return math.inf, math.inf
     bound = 10**digits
-    # F(i) is within 1 of phi^i / sqrt(5): start from that estimate, then settle it exactly
-    i = int((digits * math.log(10) + math.log(5) / 2) / math.log((1 + math.sqrt(5)) / 2))
-    while _fib_pair(i)[0] >= bound:
-        i -= 1
-    while _fib_pair(i)[1] < bound:
-        i += 1
-    return i + 2, bound  # F(i) < bound <= F(i + 1)
+
+    def cheapest(length: int) -> int:  # F(length - 2) - a (F(length - 4) - 1), length >= 4
+        f, g = _fib_pair(length - 4)
+        return f + g - a * (f - 1)
+
+    # F(i) is within 1 of phi^i / sqrt(5), so cheapest(l) is about phi^(l - 4) (phi^2 - a) / sqrt(5):
+    # start from that estimate, then settle it exactly; cheapest(6) = 3 is below every bound
+    log_phi = math.log((1 + math.sqrt(5)) / 2)
+    length = max(6, 4 + int((digits * math.log(10) + math.log(5) / 2 - math.log(3 - a)) / log_phi))
+    while cheapest(length) >= bound:
+        length -= 1
+    while cheapest(length + 1) < bound:
+        length += 1
+    return length, bound
 
 
-def _digit_limit() -> tuple[float, float]:
-    """(L, 10^D): the longest codeword a decoder evaluates, and the bound its value must stay below.
+def _digit_limit(a: int = 0) -> tuple[float, float]:
+    """(L, 10^D): the longest codeword a decoder evaluates at a, and the bound its value must stay below.
 
     D is sys.get_int_max_str_digits(), read at each call, so every value
     a decoder returns can be printed; 0 (no limit) makes both infinite.
-    L is the largest l with F(l - 2) < 10^D, where F(1) = F(2) = 1 are
-    the Fibonacci numbers: 20,579 at D = 4,300 and 3,066 at D = 640.
+    L is the largest l with F(l - 2) - a (F(l - 4) - 1) < 10^D, where
+    F(1) = F(2) = 1 are the Fibonacci numbers. For fib, a = 0: then L is
+    the largest l with F(l - 2) < 10^D, 20,579 at D = 4,300 and 3,066 at
+    D = 640. For gh at a <= -2, L is at most that, and smaller as |a| grows.
 
-    Every codeword of l >= 5 bits is worth at least F(l - 2), under fib
-    and under gh at every a <= -2, so a word longer than L is past the
-    bound and is refused without being evaluated. The word less its
-    closing 1 has its top 1 at index l - 1 and its other ones at l - 3
-    or below. Fib terms are positive, with term(i) = F(i + 1), so the
-    word is worth at least F(l). Of the gh terms only term(1) = a is
-    negative, so the word is worth at least term(l - 1) + a: that is
-    term(4) + a = 2 = F(3) at l = 5, term(5) + a = 3 = F(4) at l = 6,
-    and for i >= 6, term(i) = F(i - 1) - a F(i - 3) (it holds at i = 6
-    and 7, and both sides add like the sequence), so term(i) + a =
-    F(i - 1) - a (F(i - 3) - 1) >= F(i - 1). The shorter words below
-    the bound are the non-positive "11" and "1011" of gh, and L >= 7.
+    Every codeword of l >= 5 bits is worth at least F(l - 2) -
+    a (F(l - 4) - 1), under fib with a = 0 and under gh at a, so a word
+    longer than L is past the bound and is refused without being
+    evaluated. The word less its closing 1 has its top 1 at index l - 1
+    and its other ones at l - 3 or below. Fib terms are positive, with
+    term(i) = F(i + 1), so the word is worth at least F(l). Of the gh
+    terms only term(1) = a is negative, so the word is worth at least
+    term(l - 1) + a, and exactly that when it sets only indices 1 and
+    l - 1: so at gh this L is the length of the longest word a decoder
+    accepts. That is term(4) + a = 2 = F(3) at l = 5, term(5) + a = 3 =
+    F(4) at l = 6 (F(1) - 1 = F(2) - 1 = 0), and for i >= 6, term(i) =
+    F(i - 1) - a F(i - 3) (it holds at i = 6 and 7, and both sides add
+    like the sequence), so term(i) + a = F(i - 1) - a (F(i - 3) - 1).
+    The shorter words below the bound are the non-positive "11" and
+    "1011" of gh, and L >= 6.
 
-    Cached per D, and computed by fast doubling from an estimate, so no
-    shared sequence grows: fib_sequence() to L terms holds about 19 MB.
-    An interpreter without the limit (before 3.10.7) has no limit here.
+    Cached per D and a, and computed by fast doubling from an estimate,
+    so no shared sequence grows: fib_sequence() to L terms holds about
+    19 MB, and gh_sequence(a) to that length more as |a| grows. An
+    interpreter without the limit (before 3.10.7) has no limit here.
     """
-    return _limit_at(getattr(sys, "get_int_max_str_digits", int)())
+    return _limit_at(getattr(sys, "get_int_max_str_digits", int)(), a)
 
 
 # byte -> 1 for b"1", 0 for every other byte; non-ASCII characters are

@@ -26,10 +26,28 @@ block past index 92, the highest a value below 2^64 can set. Encoding
 100k values of about 10^12 in-process, sixteen indices per block (2584
 patterns, about 0.8 MB) ran only 2-3% faster, and eight ran about 1.2x
 slower.
+
+_encode_lanes runs the greedy for many values at once instead, 1024
+values to a block, each in one 64-bit lane of a Python int. Per index i
+from the block's top index down, the lane of a remainder r takes term(i)
+exactly when r >= term(i). It adds 2^63 - term(i) to every lane and
+reads bit 63, which is set exactly when r + 2^63 - term(i) >= 2^63.
+No carry or borrow crosses a lane: every value is below term(65) < 2^63,
+so r < 2^63 and 1 <= term(i) <= 2^63 give 0 <= r + 2^63 - term(i) <
+2^64, and a lane that takes term(i) holds r >= term(i), so subtracting
+it borrows nothing. So each lane runs the top-down greedy over every
+index, and taking the largest term not above the remainder leaves less
+than the term below it, so these are the Zeckendorf digits, the same as
+fib_encode's. Below term(65) the top digit is at index 64 at most, so
+the digits fit the 64 bits of a lane, digit i at bit i - 1.
 """
 
+import sys
+from array import array
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import repeat
+from operator import itemgetter
 
 from ghcodes.bits import MalformedCodeError, _digit_limit, from_codeword, value
 from ghcodes.sequences import fib_sequence
@@ -38,6 +56,9 @@ __all__ = ["fib_decode", "fib_encode"]
 
 _BLOCK = 12  # indices per block of the tables
 _BLOCKS = 8  # blocks in the tables, indices 1..96
+_LANES = 1024  # values per block of _encode_lanes, one 64-bit lane each
+_LANES_BELOW = 65  # _encode_lanes takes the values below term(65), whose codewords fit a lane
+_REVERSED = itemgetter(slice(None, None, -1))
 
 
 @lru_cache(maxsize=None)
@@ -95,6 +116,44 @@ def fib_encode(n: int) -> str:
         word = patterns[k] + word
         n -= sums[k]
     return (patterns[n] + word).rstrip("0") + "1"
+
+
+@lru_cache(maxsize=None)
+def _lane_tables() -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """term(1)..term(65), then per index 2^63 - term(i) in every lane of a block, then 2^63 in every lane.
+
+    Built on the first call, as _tables is: 65 ints of 8 KB each.
+    """
+    terms = tuple(fib_sequence().prefix(_LANES_BELOW))
+    ones = int.from_bytes(array("Q", [1] * _LANES).tobytes(), sys.byteorder)
+    return terms, tuple((2**63 - term) * ones for term in terms), ones << 63
+
+
+def _encode_lanes(values: list[int]) -> str:
+    """"".join(map(fib_encode, values)), for values that all lie in [1, term(65)).
+
+    Runs the greedy on 1024 values at a time, one to a 64-bit lane of a
+    Python int (see the module docstring for why that is exact), from
+    the top index of the block's largest value down. A short last block
+    reads only its own lanes. Each lane's digits, index 1 at bit 0, are
+    read back in C-level maps, and each codeword is its digits up to the
+    top one, then the closing 1.
+    """
+    terms, keys, guard = _lane_tables()
+    blocks = []
+    for first in range(0, len(values), _LANES):
+        block = values[first : first + _LANES]
+        lanes = int.from_bytes(array("Q", block).tobytes(), sys.byteorder)
+        digits = 0
+        for i in range(bisect_right(terms, max(block)), 0, -1):
+            taken = (lanes + keys[i - 1]) & guard  # 2^63 in each lane whose remainder is >= term(i)
+            if taken:
+                lanes -= (taken >> 63) * terms[i - 1]
+                digits |= taken >> 64 - i
+        found = array("Q")
+        found.frombytes(digits.to_bytes(8 * len(block), sys.byteorder))
+        blocks.append("1".join(map(_REVERSED, map(format, found, repeat("b")))) + "1")
+    return "".join(blocks)
 
 
 def fib_decode(code: str) -> int:

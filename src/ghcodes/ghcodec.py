@@ -452,11 +452,18 @@ def decode(a: int, code: str) -> int:
 
     D is the digit limit of bits._digit_limit. A word within its length
     limit can still reach 10^D, as every word can at a large enough |a|.
+    A word longer than _digit_limit(a)'s L is worth that much at a, so
+    it is refused unevaluated, and no term of gh_sequence(a) past L is made.
     """
-    n = value(gh_sequence(a), from_codeword(code))
+    seq = gh_sequence(a)  # raises for a > -2
+    body = from_codeword(code)
+    limit, bound = _digit_limit(a)
+    if len(code) > limit:
+        raise MalformedCodeError("codeword value past the integer digit limit", 0)
+    n = value(seq, body)
     if n < 1:
         raise NonPositiveValueError(n, code)
-    if n >= _digit_limit()[1]:
+    if n >= bound:
         raise MalformedCodeError("codeword value past the integer digit limit", 0)
     return n
 
@@ -468,17 +475,19 @@ def decode_many(a: int, codes: Sequence[str]) -> list[int]:
     """[decode(a, code) for code in codes], raising what that loop raises first.
 
     The batch is checked at once, with no Python call per code, against
-    the rules of bits.validate_codeword: the length limit, only "0" and
-    "1", and the first pair of ones at the end. One prefix of the terms
-    then serves every code, and every value must be >= 1 and below the
-    digit limit's bound. A code shorter than the closing
-    pair passes the pair check only as "0" or "1", and its value is 0.
+    the rules of bits.validate_codeword, with the length limit at a (L
+    of bits._digit_limit(a)): only "0" and "1", and the first pair of
+    ones at the end. One prefix of the terms then serves every code, and
+    every value must be >= 1 and below the digit limit's bound. A code
+    shorter than the closing pair passes the pair check only as "0" or
+    "1", and its value is 0.
     Should any check fail, decode runs over the codes in order, so the
     error is the one the first bad code gives.
     """
+    seq = gh_sequence(a)  # raises for a > -2
     lengths = list(map(len, codes))
     longest = max(lengths, default=1)
-    limit, bound = _digit_limit()
+    limit, bound = _digit_limit(a)
     if (
         longest > limit
         # a character other than "0" or "1" survives, as itself or as "?"
@@ -486,7 +495,7 @@ def decode_many(a: int, codes: Sequence[str]) -> list[int]:
         or list(map(str.find, codes, repeat("11"))) != list(map(sub, lengths, repeat(2)))
     ):
         return [decode(a, code) for code in codes]
-    terms = gh_sequence(a).prefix(longest - 1)
+    terms = seq.prefix(longest - 1)
     ns = list(values(terms, map(_BODY, codes)))
     if min(ns, default=1) < 1 or max(ns, default=0) >= bound:
         return [decode(a, code) for code in codes]

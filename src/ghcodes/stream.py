@@ -49,7 +49,13 @@ Small values dominate typical streams, so each call, and each
 iteration of a decoder's result, memoises codewords in a dict that
 lives only that long. The encoder builds each distinct value's
 codeword once when it is at most _MEMO_MAX_BITS (24) bits long, and
-rebuilds longer ones every time. The decoders evaluate a chunk's words
+rebuilds longer ones every time. The lane rule comes first: a fib
+batch whose values all lie in [term(24), term(65)), so each codeword
+is 25 to 65 bits long, skips the memo and goes to
+fibcodec._encode_lanes, which runs the greedy for 1024 values at a
+time in the 64-bit lanes of one int. A fib batch is read whole only
+when its first value lies there, so a batch that opens with a short
+word is encoded value by value as it is read. The decoders evaluate a chunk's words
 together. They look the words up in the memo, which evaluates each
 distinct word once, until a word's codeword is longer than
 _MEMO_MAX_BITS bits. Then they evaluate every word of that chunk in
@@ -67,7 +73,7 @@ from operator import add, itemgetter
 from typing import NamedTuple
 
 from ghcodes.bits import _digit_limit, value, values
-from ghcodes.fibcodec import fib_encode
+from ghcodes.fibcodec import _LANES_BELOW, _encode_lanes, fib_encode
 from ghcodes.ghcodec import encode_fast
 from ghcodes.sequences import FibSequence, GHSequence, fib_sequence, gh_sequence
 
@@ -182,19 +188,20 @@ def stream_encode(codec: str, a: int, values: Iterable[int]) -> bytes:
 
     Raises UnencodableValueError for a value with no code, and for one
     of 10^D or more (bits._digit_limit), which the decoders would refuse.
+    Each value is checked before the next one is read, except in a fib
+    batch read whole for the lanes (see the module docstring). Should
+    the iterable raise while such a batch is read, the values it gave
+    first are checked before its error is raised, so the first error
+    is the same.
     """
     encode = codeword_encoder(codec, a)
     if a < _A_MIN:
         raise ValueError(f"parameter a must be >= {_A_MIN} to fit the header, got {a}")
     bound = _digit_limit()[1]
     memo: dict[int, str] = {}
-    payload = bytearray()
-    count = bit_length = 0
-    carry = ""
-    unread = iter(values)
-    while True:
-        words = [carry]
-        for v in islice(unread, _BATCH_VALUES):
+
+    def add_codewords(values: Iterable[int], words: list[str]) -> list[str]:
+        for v in values:
             code = memo.get(v)
             if code is None:
                 if v >= bound:  # the decoders would refuse it
@@ -205,10 +212,33 @@ def stream_encode(codec: str, a: int, values: Iterable[int]) -> bytes:
                 if len(code) <= _MEMO_MAX_BITS:
                     memo[v] = code
             words.append(code)
-        if len(words) == 1:
-            break
-        count += len(words) - 1
-        bits = "".join(words)
+        return words
+
+    # fib values whose codewords pass the memo and fit the lanes of
+    # _encode_lanes; all are below 10^D, as D is 0 or at least 640
+    lo, hi = fib_sequence().term(_MEMO_MAX_BITS), fib_sequence().term(_LANES_BELOW)
+    payload = bytearray()
+    count = bit_length = 0
+    carry = ""
+    unread = iter(values)
+    while True:
+        batch = islice(unread, _BATCH_VALUES)
+        read = list(islice(batch, 1)) if codec == "fib" else []  # a fib batch's first value
+        if read and lo <= read[0] < hi:  # then the rest, for the lanes
+            try:
+                read += batch
+            except Exception:
+                add_codewords(read, [])  # a value with no code read before the error comes first
+                raise
+        if read and lo <= min(read) and max(read) < hi:
+            count += len(read)
+            bits = carry + _encode_lanes(read)
+        else:
+            words = add_codewords(batch, add_codewords(read, [carry]))
+            if len(words) == 1:
+                break
+            count += len(words) - 1
+            bits = "".join(words)
         bit_length += len(bits) - len(carry)
         tail = len(bits) % 8
         payload += (int(bits, 2) >> tail).to_bytes(len(bits) // 8, "big")

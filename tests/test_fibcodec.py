@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -132,9 +133,44 @@ def test_tables_keep_their_size_whatever_n():
 def test_import_builds_no_table():
     src = str(Path(ghcodes.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    probe = "import ghcodes.cli, ghcodes.fibcodec as f; print(f._tables.cache_info().currsize)"
+    probe = ("import ghcodes.cli, ghcodes.fibcodec as f; "
+             "print(f._tables.cache_info().currsize, f._lane_tables.cache_info().currsize)")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 0\n", "")
+
+
+# _encode_lanes: the greedy in the 64-bit lanes of one int, for values in
+# [1, term(65)); stream_encode sends it the batches in [term(24), term(65))
+
+def _lane_reference(values):
+    return "".join(map(fib_encode, values))
+
+
+def test_lanes_equal_fib_encode_around_every_term_they_take():
+    seq = fib_sequence()
+    values = [n for j in range(24, 65) for n in (seq.term(j) - 1, seq.term(j), seq.term(j) + 1)]
+    values += [1, 2, 3, seq.term(65) - 1]
+    assert seq.term(24) == 75_025 and seq.term(65) == 27_777_890_035_288
+    assert fibcodec._encode_lanes(values) == _lane_reference(values)
+    # one value to a block: each lane alone, the largest setting index 64
+    for n in values:
+        assert fibcodec._encode_lanes([n]) == fib_encode(n), n
+    assert len(fib_encode(seq.term(65) - 1)) == 65
+
+
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 8192])
+def test_lanes_equal_fib_encode_across_block_edges(count):
+    # a block holds 1024 values; a short last block leaves its other lanes at 0
+    rng = random.Random(count)
+    top = fib_sequence().term(65)
+    values = [rng.choice((rng.randrange(75_025, top), rng.randrange(1, 10**6))) for _ in range(count)]
+    assert fibcodec._encode_lanes(values) == _lane_reference(values)
+    assert fibcodec._encode_lanes(values[::-1]) == _lane_reference(values[::-1])
+
+
+@given(values=st.lists(st.integers(min_value=75_025, max_value=27_777_890_035_287), max_size=1100))
+def test_lanes_equal_fib_encode_on_long_values(values):
+    assert fibcodec._encode_lanes(values) == _lane_reference(values)
 
 
 def test_threads_making_the_first_call_together_get_the_reference_codes():

@@ -249,6 +249,52 @@ def test_decode_refuses_a_short_word_past_the_bound_at_a_huge_a(int_digits, caps
     assert capsys.readouterr().err == "error: codeword value past the integer digit limit (bit offset 0)\n"
 
 
+def test_a_long_gh_word_at_a_huge_a_is_refused_unevaluated(int_digits, capsys):
+    # a gh word of l >= 5 bits is worth at least F(l - 2) - a (F(l - 4) - 1)
+    # (bits._digit_limit): at a = -10^4299 every word past 10 bits reaches 10^4300
+    int_digits(4300)
+    a = -(10**4299)
+    assert _digit_limit(a) == (10, 10**4300)
+    word = "0" * 20_000 + "11"
+    start = time.perf_counter()
+    status, peak = _peak(lambda: main(["decode", "--code", "gh", f"--a={a}", word]))
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert (status, captured.out) == (2, "")
+    assert captured.err == "error: codeword value past the integer digit limit (bit offset 0)\n"
+    assert peak < 25 * 2**20
+    assert len(gh_sequence(a)._terms) <= 11  # term(10) at most, with the placeholder slot
+
+
+@pytest.mark.parametrize("a", [-2, -7, -(2**15), -(10**30), -(10**600), -(10**639)])
+def test_longest_gh_word_accepted_matches_a_brute_force_walk(int_digits, monkeypatch, a):
+    int_digits(640)
+    bound = 10**640
+    # the cheapest word of each length sets only index 1, whose term a is the
+    # only negative one, and its top index; walk the terms apart from gh_sequence
+    terms = [a, 1 - a, 1, 2 - a]
+    while a + terms[-1] < bound:
+        terms.append(terms[-1] + terms[-2])
+    longest = len(terms)  # a + term(longest - 1) < 10^640 <= a + term(longest)
+
+    def cheapest(length):
+        return "1" + "0" * (length - 3) + "11"
+
+    assert _digit_limit(a)[0] == longest
+    for length in range(5, longest + 1):
+        code = cheapest(length)
+        assert decode(a, code) == decode_many(a, ["011", code])[1] == a + terms[length - 2], length
+    lengths = []
+    prefix = sequences._AdditiveSequence.prefix
+    monkeypatch.setattr(sequences._AdditiveSequence, "prefix",
+                        lambda self, n: lengths.append(n) or prefix(self, n))
+    for length in (longest + 1, longest + 2):
+        for decoder in _decoders("gh", a):
+            with pytest.raises(MalformedCodeError, match="value past the integer digit limit"):
+                decoder(cheapest(length))
+    assert max(lengths) == 2  # decode_many's "011" alone was evaluated
+
+
 def test_no_limit_decodes_the_long_word_as_before(tmp_path):
     # in a child, as the shared Fibonacci terms it grows take about 170 MiB
     script = f"""

@@ -331,9 +331,61 @@ def test_batched_encode_equals_one_shot_reference(codec, a, count):
         v = rng.choice((rng.randint(1, 40), rng.randint(1, 10**9)))
         if codec == "fib" or encode_fast(a, v) is not None:
             values.append(v)
-    expected = _reference_encode(codec, a, values)
-    assert stream_encode(codec, a, values) == expected
-    assert stream_encode(codec, a, iter(values)) == expected
+    pools = [values]
+    if codec == "fib":  # long values only, so every batch goes to the lanes
+        top = fib_sequence().term(65)
+        pools.append([rng.choice((rng.randrange(75_025, top), rng.randint(75_025, 10**9))) for _ in range(count)])
+    for values in pools:
+        expected = _reference_encode(codec, a, values)
+        assert stream_encode(codec, a, values) == expected
+        assert stream_encode(codec, a, iter(values)) == expected
+
+
+def _recorded_fib_encode(monkeypatch):
+    built = []
+    real = stream.fib_encode
+    monkeypatch.setattr(stream, "fib_encode", lambda v: built.append(v) or real(v))
+    return built
+
+
+@pytest.mark.parametrize("odd", [None, 75_024, 27_777_890_035_288])
+@pytest.mark.parametrize("at", [0, 4000, 8191])
+def test_only_a_batch_of_long_fib_values_goes_to_the_lanes(monkeypatch, odd, at):
+    # term(24) = 75,025 is the first value whose codeword passes the memo,
+    # and term(65) the first whose codeword does not fit a 64-bit lane
+    seq = fib_sequence()
+    assert (seq.term(24), seq.term(65)) == (75_025, 27_777_890_035_288)
+    rng = random.Random(at)
+    values = [75_025, seq.term(65) - 1] + [rng.randrange(75_025, seq.term(65)) for _ in range(8189)]
+    if odd is not None:
+        values.insert(at, odd)  # 8192 values, one batch
+    built = _recorded_fib_encode(monkeypatch)
+    expected = _reference_encode("fib", 0, values)
+    assert stream_encode("fib", 0, values) == expected
+    assert built == ([] if odd is None else values)
+    # a second batch of long values alone goes to the lanes whatever the first held
+    built.clear()
+    assert stream_encode("fib", 0, values + [75_025]) == _reference_encode("fib", 0, values + [75_025])
+    assert built == ([] if odd is None else values)
+
+
+@pytest.mark.parametrize("long", [True, False])
+def test_an_error_of_the_iterable_comes_after_those_of_the_values_it_gave(long):
+    # values are read a batch at a time for the lanes; still a value with
+    # no code read before the iterable fails is reported first
+    def values(bad):
+        yield 10**6 if long else 5
+        yield 10**7
+        if bad is not None:
+            yield bad
+        raise KeyError("iterable")
+
+    with pytest.raises(ValueError, match="only positive integers are encodable, got 0"):
+        stream_encode("fib", 0, values(0))
+    with pytest.raises(KeyError, match="iterable"):
+        stream_encode("fib", 0, values(None))
+    with pytest.raises(KeyError, match="iterable"):
+        stream_encode("fib", 0, values(10**8))
 
 
 def _reference_spans(blob):
