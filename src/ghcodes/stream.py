@@ -55,14 +55,14 @@ is 25 to 65 bits long, skips the memo and goes to
 fibcodec._encode_lanes, which runs the greedy for 1024 values at a
 time in the 64-bit lanes of one int. A fib batch is read whole only
 when its first value lies there, so a batch that opens with a short
-word is encoded value by value as it is read. The decoders evaluate a chunk's words
-together. They look the words up in the memo, which evaluates each
-distinct word once, until a word's codeword is longer than
-_MEMO_MAX_BITS bits. Then they evaluate every word of that chunk in
-the C-level maps of bits.values over one prefix of the terms, add the
-closing terms and keep none, so no Python call is made per word. Each
-entry stands for a distinct codeword of 2 to 24 bits, so a memo holds
-at most 75,024 entries.
+word is encoded value by value as it is read. The decoders evaluate a
+chunk's words together. They look the words up in the memo, which
+evaluates each distinct word once, until a word's codeword is longer
+than _MEMO_MAX_BITS bits. Then they evaluate every word of that chunk
+in the C-level maps of bits.values over one prefix of the terms, add
+the closing terms and keep none, so no Python call is made per word.
+Each entry stands for a distinct codeword of 2 to 24 bits, so a memo
+holds at most 75,024 entries.
 """
 
 import struct
