@@ -341,13 +341,6 @@ def test_batched_encode_equals_one_shot_reference(codec, a, count):
         assert stream_encode(codec, a, iter(values)) == expected
 
 
-def _recorded_fib_encode(monkeypatch):
-    built = []
-    real = stream.fib_encode
-    monkeypatch.setattr(stream, "fib_encode", lambda v: built.append(v) or real(v))
-    return built
-
-
 @pytest.mark.parametrize("odd", [None, 75_024, 27_777_890_035_288])
 @pytest.mark.parametrize("at", [0, 4000, 8191])
 def test_only_a_batch_of_long_fib_values_goes_to_the_lanes(monkeypatch, odd, at):
@@ -359,7 +352,8 @@ def test_only_a_batch_of_long_fib_values_goes_to_the_lanes(monkeypatch, odd, at)
     values = [75_025, seq.term(65) - 1] + [rng.randrange(75_025, seq.term(65)) for _ in range(8189)]
     if odd is not None:
         values.insert(at, odd)  # 8192 values, one batch
-    built = _recorded_fib_encode(monkeypatch)
+    built = []
+    monkeypatch.setattr(stream, "fib_encode", lambda v: built.append(v) or fib_encode(v))
     expected = _reference_encode("fib", 0, values)
     assert stream_encode("fib", 0, values) == expected
     assert built == ([] if odd is None else values)
