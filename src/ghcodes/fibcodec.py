@@ -43,7 +43,6 @@ the digits fit the 64 bits of a lane, digit i at bit i - 1.
 """
 
 import sys
-from array import array
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import repeat
@@ -122,8 +121,11 @@ def fib_encode(n: int) -> str:
 def _lane_tables() -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """term(1)..term(65), then per index 2^63 - term(i) in every lane of a block, then 2^63 in every lane.
 
-    Built on the first call, as _tables is: 65 ints of 8 KB each.
+    Built on the first call, as _tables is: 65 ints of 8 KB each. The
+    lanes alone import array, so no other command loads it.
     """
+    from array import array
+
     terms = tuple(fib_sequence().prefix(_LANES_BELOW))
     ones = int.from_bytes(array("Q", [1] * _LANES).tobytes(), sys.byteorder)
     return terms, tuple((2**63 - term) * ones for term in terms), ones << 63
@@ -139,6 +141,8 @@ def _encode_lanes(values: list[int]) -> str:
     read back in C-level maps, and each codeword is its digits up to the
     top one, then the closing 1.
     """
+    from array import array
+
     terms, keys, guard = _lane_tables()
     blocks = []
     for first in range(0, len(values), _LANES):

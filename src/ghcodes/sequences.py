@@ -36,13 +36,6 @@ class _AdditiveSequence:
             while len(terms) <= index:
                 terms.append(terms[-1] + terms[-2])
 
-    def _grow_past(self, bound: int) -> None:
-        # the tail increases without bound, so this terminates
-        with self._lock:
-            terms = self._terms
-            while terms[-1] <= bound:
-                terms.append(terms[-1] + terms[-2])
-
     def term(self, i: int) -> int:
         """The i-th term, growing the cache as needed; indices start at 1."""
         if i < 1:
@@ -58,6 +51,21 @@ class _AdditiveSequence:
         if length >= len(self._terms):
             self._grow_to(length)
         return self._terms[1 : length + 1]
+
+    def _largest_leq(self, n: int, first: int) -> int:
+        """Largest index i >= first with term(i) <= n, or first - 1 when term(first) > n.
+
+        Grows the cache past n first; the tail increases without bound,
+        so that terminates.
+        """
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        if self._terms[-1] <= n:
+            with self._lock:
+                terms = self._terms
+                while terms[-1] <= n:
+                    terms.append(terms[-1] + terms[-2])
+        return bisect_right(self._terms, n, first, len(self._terms)) - 1
 
 
 class GHSequence(_AdditiveSequence):
@@ -87,13 +95,9 @@ class GHSequence(_AdditiveSequence):
 
     def largest_remaining_leq(self, n: int) -> int | None:
         """Largest index l >= 6 with term(l) <= n, or None when term(6) > n."""
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
         # with fewer than 6 terms held, term(6) still exceeds n: it exceeds
         # terms 1..5, and growth stops only once the last term exceeds n
-        if self._terms[-1] <= n:
-            self._grow_past(n)
-        idx = bisect_right(self._terms, n, self.REMAINING_START, len(self._terms)) - 1
+        idx = self._largest_leq(n, self.REMAINING_START)
         return idx if idx >= self.REMAINING_START else None
 
 
@@ -105,11 +109,7 @@ class FibSequence(_AdditiveSequence):
 
     def largest_leq(self, n: int) -> int:
         """Largest index i with term(i) <= n; defined for every n >= 1."""
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        if self._terms[-1] <= n:
-            self._grow_past(n)
-        return bisect_right(self._terms, n, 1, len(self._terms)) - 1
+        return self._largest_leq(n, 1)
 
 
 @lru_cache(maxsize=CACHED_PARAMETERS)

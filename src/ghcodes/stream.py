@@ -19,48 +19,49 @@ token scanner instead realigns at the next pair after damage and
 reports what it could not validate as garbage spans.
 
 Memory: the encoder packs its input in batches of _BATCH_VALUES (8192)
-values, so it holds one batch's codewords and the packed bytes, never a
-list or a '0'/'1' string of the whole stream; the values may come from
-a generator. Both decoders frame the payload with one splitter that
-turns _CHUNK_BYTES (4096) bytes at a time into bits and splits them at
-each closing pair, carrying only the unfinished word into the next
-chunk. So a decoder holds the payload, one chunk's bits and words, and
-one word that runs past a chunk, never a string of the whole payload or
-a value per word. That unclosed word is bounded too: past L bits
-(bits._digit_limit), which no decoder evaluates, only its width is
-kept. One scan over the frames finds each chunk's garbage, the words
-below 1: only the short pieces of _SHORT_PIECES can be, so it
-evaluates those alone and searches a chunk only for the ones it holds.
-The strict decoder runs that scan as a first pass over the whole
-payload. It also takes each chunk's longest word, and refuses a word
-longer than L or worth 10^D or more, the values that could not be
+values, so it holds one batch's values and codewords and the packed
+bytes, never a list or a '0'/'1' string of the whole stream; the
+values may come from a generator. Both decoders frame the payload with
+one splitter that turns _CHUNK_BYTES (4096) bytes at a time into bits
+and splits them at each closing pair, carrying only the unfinished
+word into the next chunk. So a decoder holds the payload, one chunk's
+bits and words, and one word that runs past a chunk, never a string of
+the whole payload or a value per word. That unclosed word is bounded
+too: past L bits (bits._digit_limit), which no decoder evaluates, only
+its width is kept. One scan over the frames finds each chunk's
+garbage, the words below 1: only the short pieces of _SHORT_PIECES can
+be, so it evaluates those alone and searches a chunk only for the ones
+it holds. The strict decoder runs that scan as a first pass over the
+whole payload. It also takes each chunk's longest word, and refuses a
+word longer than L or worth 10^D or more, the values that could not be
 printed; only words within _NEAR_BITS of L can be, so it evaluates
 those alone. So it fails before its caller sees any value; it then
-returns an iterable that decodes the values chunk by chunk. The
-resync scan reports those refused words as garbage spans, and finds
-them only in a chunk its memo cannot evaluate, where it already has
-the longest word. resync_decode checks the header at once and returns a
-scan that yields its tokens one at a time. It evaluates each chunk of
-the scan in one call and computes bit spans only for its garbage, and
-the CLI prints each chunk's values and garbage spans from it without a
-token per value. Each iteration of either frames the payload anew.
+returns an iterable that decodes the values chunk by chunk. The resync
+scan reports those refused words as garbage spans, and finds them only
+in a chunk its memo cannot evaluate, where it already has the longest
+word. resync_decode checks the header at once and returns a scan that
+yields its tokens one at a time. It evaluates each chunk of the scan
+in one call and computes bit spans only for its garbage, and the CLI
+prints each chunk's values and garbage spans from it without a token
+per value. Each iteration of either frames the payload anew.
 
 Small values dominate typical streams, so each call, and each
 iteration of a decoder's result, memoises codewords in a dict that
 lives only that long. The encoder builds each distinct value's
 codeword once when it is at most _MEMO_MAX_BITS (24) bits long, and
-rebuilds longer ones every time. The lane rule comes first: a fib
-batch whose values all lie in [term(24), term(65)), so each codeword
-is 25 to 65 bits long, skips the memo and goes to
-fibcodec._encode_lanes, which runs the greedy for 1024 values at a
-time in the 64-bit lanes of one int. A fib batch is read whole only
-when its first value lies there, so a batch that opens with a short
-word is encoded value by value as it is read. The decoders evaluate a
-chunk's words together. They look the words up in the memo, which
-evaluates each distinct word once, until a word's codeword is longer
-than _MEMO_MAX_BITS bits. Then they evaluate every word of that chunk
-in the C-level maps of bits.values over one prefix of the terms, add
-the closing terms and keep none, so no Python call is made per word.
+rebuilds longer ones every time. Every batch is read whole, for both
+codecs, and the lane rule comes first: a fib batch whose values all
+lie in [term(24), term(65)), so each codeword is 25 to 65 bits long,
+skips the memo and goes to fibcodec._encode_lanes, which runs the
+greedy for 1024 values at a time in the 64-bit lanes of one int. The
+batch's first value is tested before its minimum and maximum, so a
+batch that opens with a short word costs no scan. The decoders
+evaluate a chunk's words together. They look the words up in the memo,
+which evaluates each distinct word once, until a word's codeword is
+longer than _MEMO_MAX_BITS bits. Then they evaluate every word of that
+chunk in the C-level maps of bits.values over one prefix of the terms,
+add the closing terms and keep none, so no Python call is made per
+word.
 Each entry stands for a distinct codeword of 2 to 24 bits, so a memo
 holds at most 75,024 entries.
 """
@@ -94,6 +95,7 @@ MAGIC = b"GHC1"
 VERSION = 1
 CODEC_FIB = 0x00
 CODEC_GH = 0x01
+_CODEC_BYTES = {"fib": CODEC_FIB, "gh": CODEC_GH}
 _HEADER = struct.Struct("<4sBBhQQ")
 _A_MIN = -(2**15)  # the header stores a as a signed 16-bit field
 _MEMO_MAX_BITS = 24
@@ -168,9 +170,9 @@ def codeword_encoder(codec: str, a: int) -> Callable[[int], str | None]:
     Raises ValueError for an unknown codec or an a the codec does not
     take. Only gh leaves values without a code.
     """
-    if codec not in ("fib", "gh"):
+    if codec not in _CODEC_BYTES:
         raise ValueError(f"codec must be 'fib' or 'gh', got {codec!r}")
-    _sequence(CODEC_FIB if codec == "fib" else CODEC_GH, a)
+    _sequence(_CODEC_BYTES[codec], a)
     # fib_encode and encode_fast are read from this module's globals at call
     # time, so the ones the benchmark tracer (perfbench/tracer.py) patches in run
     if codec == "fib":
@@ -188,11 +190,12 @@ def stream_encode(codec: str, a: int, values: Iterable[int]) -> bytes:
 
     Raises UnencodableValueError for a value with no code, and for one
     of 10^D or more (bits._digit_limit), which the decoders would refuse.
-    Each value is checked before the next one is read, except in a fib
-    batch read whole for the lanes (see the module docstring). Should
-    the iterable raise while such a batch is read, the values it gave
-    first are checked before its error is raised, so the first error
-    is the same.
+    Every batch of _BATCH_VALUES values is read whole before any of it
+    is encoded, so a value with no code is reported only once its batch
+    is read. Should the iterable raise while a batch is read, the values
+    it gave first are checked before its error is raised, so the first
+    bad input decides the error, as if each value were checked before
+    the next one is read.
     """
     encode = codeword_encoder(codec, a)
     if a < _A_MIN:
@@ -218,35 +221,30 @@ def stream_encode(codec: str, a: int, values: Iterable[int]) -> bytes:
     # _encode_lanes; all are below 10^D, as D is 0 or at least 640
     lo, hi = fib_sequence().term(_MEMO_MAX_BITS), fib_sequence().term(_LANES_BELOW)
     payload = bytearray()
-    count = bit_length = 0
+    count = 0
     carry = ""
     unread = iter(values)
     while True:
-        batch = islice(unread, _BATCH_VALUES)
-        read = list(islice(batch, 1)) if codec == "fib" else []  # a fib batch's first value
-        if read and lo <= read[0] < hi:  # then the rest, for the lanes
-            try:
-                read += batch
-            except Exception:
-                add_codewords(read, [])  # a value with no code read before the error comes first
-                raise
-        if read and lo <= min(read) and max(read) < hi:
-            count += len(read)
-            bits = carry + _encode_lanes(read)
+        batch: list[int] = []
+        try:
+            batch += islice(unread, _BATCH_VALUES)
+        except Exception:
+            add_codewords(batch, [])  # a value with no code read before the error comes first
+            raise
+        if not batch:
+            break
+        count += len(batch)
+        if codec == "fib" and lo <= batch[0] < hi and lo <= min(batch) and max(batch) < hi:
+            bits = carry + _encode_lanes(batch)
         else:
-            words = add_codewords(batch, add_codewords(read, [carry]))
-            if len(words) == 1:
-                break
-            count += len(words) - 1
-            bits = "".join(words)
-        bit_length += len(bits) - len(carry)
+            bits = "".join(add_codewords(batch, [carry]))
         tail = len(bits) % 8
         payload += (int(bits, 2) >> tail).to_bytes(len(bits) // 8, "big")
         carry = bits[len(bits) - tail :]
+    header = _HEADER.pack(MAGIC, VERSION, _CODEC_BYTES[codec], a, count, 8 * len(payload) + len(carry))
     if carry:
         payload.append(int(carry, 2) << 8 - len(carry))
-    codec_byte = CODEC_FIB if codec == "fib" else CODEC_GH
-    return _HEADER.pack(MAGIC, VERSION, codec_byte, a, count, bit_length) + payload
+    return header + payload
 
 
 def _parse_header(data: bytes) -> tuple[GHSequence | FibSequence, int, int, memoryview]:

@@ -665,6 +665,9 @@ def test_stream_pack_empty_stdin_is_header_only(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("text, argv, status, message", [
     ("7 10 x 1\n", ("--a", "-2"), 2, "error: invalid literal for int() with base 10: 'x'\n"),
     ("7 5 1\n", ("--a", "-5"), 1, "error: no code exists for value 5 at a=-5\n"),
+    # the first bad input decides the error, though a batch is read whole
+    ("7 5 x\n", ("--a", "-5"), 1, "error: no code exists for value 5 at a=-5\n"),
+    ("7 x 5\n", ("--a", "-5"), 2, "error: invalid literal for int() with base 10: 'x'\n"),
 ])
 def test_stream_pack_failure_keeps_existing_out_file(tmp_path, capsys, monkeypatch,
                                                      text, argv, status, message):

@@ -139,6 +139,18 @@ def test_import_builds_no_table():
     assert (done.returncode, done.stdout, done.stderr) == (0, "0 0\n", "")
 
 
+def test_only_the_lanes_load_array():
+    # -S keeps site's imports out, so only the package can load array
+    src = str(Path(ghcodes.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    probe = ("import contextlib, io, sys, ghcodes.cli as cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    status = cli.main(['gaps', '--a', '-7', '--max-n', '1000'])\n"
+             "print(status, 'array' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 False\n", "")
+
+
 # _encode_lanes: the greedy in the 64-bit lanes of one int, for values in
 # [1, term(65)); stream_encode sends it the batches in [term(24), term(65))
 

@@ -363,23 +363,33 @@ def test_only_a_batch_of_long_fib_values_goes_to_the_lanes(monkeypatch, odd, at)
     assert built == ([] if odd is None else values)
 
 
-@pytest.mark.parametrize("long", [True, False])
-def test_an_error_of_the_iterable_comes_after_those_of_the_values_it_gave(long):
-    # values are read a batch at a time for the lanes; still a value with
-    # no code read before the iterable fails is reported first
-    def values(bad):
-        yield 10**6 if long else 5
-        yield 10**7
-        if bad is not None:
-            yield bad
+@pytest.mark.parametrize("codec, a, good, bad, message", [
+    pytest.param("fib", 0, (10**6, 10**7, 10**8), 0, "only positive integers are encodable, got 0", id="fib-long"),
+    pytest.param("fib", 0, (5, 10**7, 10**8), 0, "only positive integers are encodable, got 0", id="fib-short"),
+    pytest.param("gh", -5, (7, 10**6, 10**8), 5, "no code exists for value 5 at a=-5", id="gh"),
+])
+def test_an_error_of_the_iterable_comes_after_those_of_the_values_it_gave(codec, a, good, bad, message):
+    # every batch is read whole; still a value with no code read before the
+    # iterable fails is reported first, whether the iterable fails inside its
+    # batch (lead 0, and _BATCH_VALUES: the second batch) or opens the next
+    # one (the value with no code ends the first batch)
+    first, second, late = good
+
+    def values(lead, tail):
+        yield from [first] * lead
+        yield first
+        yield second
+        if tail is not None:
+            yield tail
         raise KeyError("iterable")
 
-    with pytest.raises(ValueError, match="only positive integers are encodable, got 0"):
-        stream_encode("fib", 0, values(0))
-    with pytest.raises(KeyError, match="iterable"):
-        stream_encode("fib", 0, values(None))
-    with pytest.raises(KeyError, match="iterable"):
-        stream_encode("fib", 0, values(10**8))
+    for lead in (0, stream._BATCH_VALUES - 3, stream._BATCH_VALUES):
+        with pytest.raises(ValueError, match=message):
+            stream_encode(codec, a, values(lead, bad))
+        with pytest.raises(KeyError, match="iterable"):
+            stream_encode(codec, a, values(lead, None))
+        with pytest.raises(KeyError, match="iterable"):
+            stream_encode(codec, a, values(lead, late))
 
 
 def _reference_spans(blob):
