@@ -9,6 +9,7 @@ what delimits codewords in a stream.
 
 import math
 import sys
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import compress, repeat
@@ -17,9 +18,11 @@ from ghcodes.sequences import CACHED_PARAMETERS, FibSequence, GHSequence
 
 __all__ = [
     "MalformedCodeError",
+    "NonPositiveValueError",
     "from_codeword",
     "is_zeckendorf",
     "normalize",
+    "read_codeword",
     "to_codeword",
     "trim_trailing_zeros",
     "validate_codeword",
@@ -35,6 +38,15 @@ class MalformedCodeError(ValueError):
         super().__init__(f"{rule} (bit offset {offset})")
         self.rule = rule
         self.offset = offset
+
+
+class NonPositiveValueError(ValueError):
+    """Structurally valid codeword whose bits sum to zero or less."""
+
+    def __init__(self, computed: int, code: str):
+        super().__init__(f"codeword {code!r} decodes to non-positive value {computed}")
+        self.computed = computed
+        self.code = code
 
 
 def _fib_pair(n: int) -> tuple[int, int]:
@@ -184,3 +196,53 @@ def from_codeword(code: str) -> str:
     """Validate and strip the closing 1, recovering the Zeckendorf string."""
     validate_codeword(code)
     return code[:-1]
+
+
+def read_codeword(seq: GHSequence | FibSequence, code: str, a: int = 0) -> int:
+    """The value of code under seq, whose term(1) is a (0 for fib): validated, then 1 <= n < 10^D.
+
+    D is the digit limit of _digit_limit. The structure is checked first
+    (from_codeword). A word within its length limit can still reach
+    10^D, as every gh word can at a large enough |a|. A word longer than
+    _digit_limit(a)'s L is worth that much at a, so it is refused
+    unevaluated, and no term of seq past L is made. Raises
+    MalformedCodeError for a fault, a word past L or a value of 10^D or
+    more, and NonPositiveValueError for a value below 1.
+    """
+    body = from_codeword(code)
+    limit, bound = _digit_limit(a)
+    n = value(seq, body) if len(code) <= limit else bound  # a longer word is worth bound or more
+    if n < 1:
+        raise NonPositiveValueError(n, code)
+    if n >= bound:
+        raise MalformedCodeError("codeword value past the integer digit limit", 0)
+    return n
+
+
+def _tail_greedy(terms: list[int], target: int, first: int = 6) -> tuple[tuple[int, ...], int]:
+    """Greedy picks over indices >= first for 0 <= target < the term after terms[-1].
+
+    Returns (picks, residual < term(first)). terms[i - 1] is term(i), and
+    each term is the sum of the two before it. After taking term(i) the
+    remainder is below term(i - 1), so the next search stops short of
+    index i - 1, and no two picks are adjacent.
+    """
+    picked: list[int] = []
+    lowest = terms[first - 1]
+    hi = len(terms)
+    while target >= lowest:
+        i = bisect_right(terms, target, first - 1, hi)  # largest index with term(i) <= target
+        picked.append(i)
+        target -= terms[i - 1]
+        hi = i - 2
+    return tuple(picked), target
+
+
+def _tail_bits(picked: tuple[int, ...], first: int = 6) -> str:
+    """Bits first and up of a word: each pick, lowest first, as its run of zeros and a 1."""
+    parts = []
+    j = first - 1
+    for i in reversed(picked):
+        parts.append("0" * (i - j - 1) + "1")
+        j = i
+    return "".join(parts)

@@ -48,7 +48,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter
 
-from ghcodes.bits import MalformedCodeError, _digit_limit, from_codeword, value
+from ghcodes.bits import _tail_bits, _tail_greedy, read_codeword
 from ghcodes.sequences import fib_sequence
 
 __all__ = ["fib_decode", "fib_encode"]
@@ -90,10 +90,9 @@ def fib_encode(n: int) -> str:
 
     Each block from n's top one down takes the pattern with the largest
     block sum not exceeding the remainder (see the module docstring). An
-    n of term(97) or more first runs the greedy over the indices above
-    the tables: taking the largest term not exceeding the remainder
-    leaves less than the next term down, so no two adjacent indices are
-    set and what is left is below term(97).
+    n of term(97) or more first runs bits._tail_greedy over the indices
+    from 97 up, the greedy the gh tail runs from 6, and leaves less than
+    term(97) to the tables.
     """
     if n < 1:
         raise ValueError(f"only positive integers are encodable, got {n}")
@@ -102,13 +101,8 @@ def fib_encode(n: int) -> str:
     word = ""
     if top == _BLOCKS:
         seq = fib_sequence()
-        terms = seq.prefix(seq.largest_leq(n))[_BLOCK * _BLOCKS :]
-        digits = ["0"] * len(terms)
-        for i in range(len(terms) - 1, -1, -1):
-            if terms[i] <= n:
-                digits[i] = "1"
-                n -= terms[i]
-        word = "".join(digits)
+        picked, n = _tail_greedy(seq.prefix(seq.largest_leq(n)), n, _BLOCK * _BLOCKS + 1)
+        word = _tail_bits(picked, _BLOCK * _BLOCKS + 1)
         top -= 1
     for sums in block_sums[top:0:-1]:
         k = bisect_right(sums, n) - 1
@@ -161,12 +155,5 @@ def _encode_lanes(values: list[int]) -> str:
 
 
 def fib_decode(code: str) -> int:
-    """Integer a codeword stands for; structure and length are validated first.
-
-    A value of 10^D or more, D the digit limit of bits._digit_limit, is
-    a MalformedCodeError, as the longer words are.
-    """
-    n = value(fib_sequence(), from_codeword(code))
-    if n >= _digit_limit()[1]:
-        raise MalformedCodeError("codeword value past the integer digit limit", 0)
-    return n
+    """Integer a codeword stands for, read by bits.read_codeword: validated, then below 10^D."""
+    return read_codeword(fib_sequence(), code)

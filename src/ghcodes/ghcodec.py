@@ -11,16 +11,16 @@ the cover 01010, the only five-bit prefix a non-greedy code can start
 with, settles existence either way.
 """
 
-from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter, sub
 from typing import NamedTuple
 
-from ghcodes.bits import MalformedCodeError, _digit_limit, from_codeword, normalize, value, values
+from ghcodes.bits import NonPositiveValueError, _digit_limit, normalize, read_codeword, values
+from ghcodes.bits import _tail_bits, _tail_greedy  # the greedy fibcodec runs past its tables too
 # unused here, but the benchmark tracer (perfbench/tracer.py) patches these names
-from ghcodes.bits import to_codeword, trim_trailing_zeros  # noqa: F401
+from ghcodes.bits import from_codeword, to_codeword, trim_trailing_zeros, value  # noqa: F401
 from ghcodes.sequences import CACHED_PARAMETERS, GHSequence, gh_sequence
 
 __all__ = [
@@ -35,15 +35,6 @@ __all__ = [
     "missing_runs",
     "remainder_table",
 ]
-
-
-class NonPositiveValueError(ValueError):
-    """Structurally valid codeword whose bits sum to zero or less."""
-
-    def __init__(self, computed: int, code: str):
-        super().__init__(f"codeword {code!r} decodes to non-positive value {computed}")
-        self.computed = computed
-        self.code = code
 
 
 class RemainderTable(NamedTuple):
@@ -113,24 +104,6 @@ def _tail_terms(seq: GHSequence, n: int) -> list[int]:
     return seq.prefix(seq.largest_remaining_leq(n) or 6)
 
 
-def _tail_greedy(terms: list[int], target: int) -> tuple[tuple[int, ...], int]:
-    """Greedy picks over indices >= 6 for 0 <= target < the term after terms[-1].
-
-    Returns (picks, residual). terms[i - 1] is term(i). After taking
-    term(i) the remainder is below term(i - 1), so the next search stops
-    short of index i - 1.
-    """
-    picked: list[int] = []
-    first_tail = terms[5]
-    hi = len(terms)
-    while target >= first_tail:
-        i = bisect_right(terms, target, 5, hi)  # largest index with term(i) <= target
-        picked.append(i)
-        target -= terms[i - 1]
-        hi = i - 2
-    return tuple(picked), target
-
-
 def _greedy_remaining(a: int, n: int) -> tuple[tuple[int, ...], int, int]:
     """Split n into tail picks, their sum n1, and the leftover n0 < term(6).
 
@@ -139,16 +112,6 @@ def _greedy_remaining(a: int, n: int) -> tuple[tuple[int, ...], int, int]:
     """
     picked, residual = _tail_greedy(_tail_terms(gh_sequence(a), n), n)
     return picked, n - residual, residual
-
-
-def _tail_bits(picked: tuple[int, ...]) -> str:
-    """Bits 6 and up of a code: each pick, lowest first, as its run of zeros and a 1."""
-    parts = []
-    j = 5
-    for i in reversed(picked):
-        parts.append("0" * (i - j - 1) + "1")
-        j = i
-    return "".join(parts)
 
 
 def _close(low: str, high: str) -> str:
@@ -204,6 +167,18 @@ def _fallback(entries: dict[int, str], terms: list[int], r: int) -> tuple[tuple[
     return ((terms[1] + terms[3], "01010"),)  # the cover of term(2) + term(4)
 
 
+def _encode(a: int, n: int, leftovers: Callable) -> EncodeOutcome | None:
+    # the body of both encoders, which differ in the leftovers _finish tries
+    terms = _tail_terms(gh_sequence(a), n)
+    picked, r = _tail_greedy(terms, n)
+    found = _finish(remainder_table(a).entries, terms, picked, r, leftovers)
+    if found is None:
+        return None
+    n0, cover, picks = found
+    fallback = leftovers is _fallback and n0 != r  # only encode_fast's second attempt is one
+    return EncodeOutcome(_close(cover, _tail_bits(picks)), n0, n - n0, picks, fallback)
+
+
 def encode_simple(a: int, n: int) -> EncodeOutcome | None:
     """Try every coverable leftover in ascending order, zero included.
 
@@ -241,13 +216,7 @@ def encode_simple(a: int, n: int) -> EncodeOutcome | None:
     d <= k + 1. So the first leftover that works, if any, is f, the one
     encode_fast tries.
     """
-    terms = _tail_terms(gh_sequence(a), n)
-    picked, r = _tail_greedy(terms, n)
-    found = _finish(remainder_table(a).entries, terms, picked, r, _above)
-    if found is None:
-        return None
-    n0, cover, picks = found
-    return EncodeOutcome(_close(cover, _tail_bits(picks)), n0, n - n0, picks, False)
+    return _encode(a, n, _above)
 
 
 def encode_fast(a: int, n: int) -> EncodeOutcome | None:
@@ -268,13 +237,7 @@ def encode_fast(a: int, n: int) -> EncodeOutcome | None:
     from the cover, because a first-attempt leftover of f also takes
     the cover 01010.
     """
-    terms = _tail_terms(gh_sequence(a), n)
-    picked, r = _tail_greedy(terms, n)
-    found = _finish(remainder_table(a).entries, terms, picked, r, _fallback)
-    if found is None:
-        return None
-    n0, cover, picks = found
-    return EncodeOutcome(_close(cover, _tail_bits(picks)), n0, n - n0, picks, n0 != r)
+    return _encode(a, n, _fallback)
 
 
 def exists(a: int, n: int) -> bool:
@@ -448,24 +411,8 @@ def missing_runs(a: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
 
 
 def decode(a: int, code: str) -> int:
-    """Validate structure and length, strip the closing 1, evaluate, require 1 <= n < 10^D.
-
-    D is the digit limit of bits._digit_limit. A word within its length
-    limit can still reach 10^D, as every word can at a large enough |a|.
-    A word longer than _digit_limit(a)'s L is worth that much at a, so
-    it is refused unevaluated, and no term of gh_sequence(a) past L is made.
-    """
-    seq = gh_sequence(a)  # raises for a > -2
-    body = from_codeword(code)
-    limit, bound = _digit_limit(a)
-    if len(code) > limit:
-        raise MalformedCodeError("codeword value past the integer digit limit", 0)
-    n = value(seq, body)
-    if n < 1:
-        raise NonPositiveValueError(n, code)
-    if n >= bound:
-        raise MalformedCodeError("codeword value past the integer digit limit", 0)
-    return n
+    """The value of code at a, read by bits.read_codeword: validated, then 1 <= n < 10^D."""
+    return read_codeword(gh_sequence(a), code, a)  # gh_sequence raises for a > -2
 
 
 _BODY = itemgetter(slice(None, -1))  # a codeword less its closing 1
@@ -488,15 +435,13 @@ def decode_many(a: int, codes: Sequence[str]) -> list[int]:
     lengths = list(map(len, codes))
     longest = max(lengths, default=1)
     limit, bound = _digit_limit(a)
-    if (
+    if not (
         longest > limit
         # a character other than "0" or "1" survives, as itself or as "?"
         or "".join(codes).encode("ascii", "replace").translate(None, b"01")
         or list(map(str.find, codes, repeat("11"))) != list(map(sub, lengths, repeat(2)))
     ):
-        return [decode(a, code) for code in codes]
-    terms = seq.prefix(longest - 1)
-    ns = list(values(terms, map(_BODY, codes)))
-    if min(ns, default=1) < 1 or max(ns, default=0) >= bound:
-        return [decode(a, code) for code in codes]
-    return ns
+        ns = list(values(seq.prefix(longest - 1), map(_BODY, codes)))
+        if min(ns, default=1) >= 1 and max(ns, default=0) < bound:
+            return ns
+    return [decode(a, code) for code in codes]

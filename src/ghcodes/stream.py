@@ -16,7 +16,11 @@ Codewords end with the only adjacent pair of ones in the word, so the
 first pair a reader meets always closes the current word. The strict
 decoder insists the payload parse into exactly the declared count; the
 token scanner instead realigns at the next pair after damage and
-reports what it could not validate as garbage spans.
+reports what it could not validate as garbage spans. One flipped
+payload bit loses at most three words: the clean tokens missing from
+the damaged scan form one run of one to three words, starting at the
+word that holds the flip. That bound is tested on every flip of five
+small streams (tests/test_stream.py), not proved.
 
 Memory: the encoder packs its input in batches of _BATCH_VALUES (8192)
 values, so it holds one batch's values and codewords and the packed

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import threading
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import given, strategies as st
 
 import ghcodes
 from ghcodes import fibcodec
+from ghcodes.bits import MalformedCodeError, _digit_limit
 from ghcodes.fibcodec import fib_decode, fib_encode
+from ghcodes.ghcodec import decode
 from ghcodes.sequences import fib_sequence
 
 GOLDEN = {
@@ -67,6 +70,25 @@ def test_decode_rejects_malformed():
         fib_decode("011011")
 
 
+@pytest.mark.parametrize("decoder", [fib_decode, partial(decode, -7)], ids=["fib_decode", "decode"])
+def test_both_decoders_give_one_error_per_structural_fault(decoder):
+    # both read a word through bits.read_codeword, so each fault reads alike
+    limit = _digit_limit()[0]
+    faults = {
+        "01x11": "invalid character 'x' (bit offset 2)",
+        "0\u00e911": "invalid character '\u00e9' (bit offset 1)",
+        "": "codeword shorter than the closing pair (bit offset 0)",
+        "1": "codeword shorter than the closing pair (bit offset 0)",
+        "0110011": "interior adjacent ones (bit offset 1)",
+        "01010": "missing closing 11 (bit offset 3)",
+        "0" * (limit - 1) + "11": f"codeword longer than {limit} bits (bit offset {limit})",
+    }
+    for code, message in faults.items():
+        with pytest.raises(MalformedCodeError) as err:
+            decoder(code)
+        assert (type(err.value), str(err.value)) == (MalformedCodeError, message)
+
+
 @given(n=st.integers(min_value=1, max_value=10**9))
 def test_round_trip_property(n):
     assert fib_decode(fib_encode(n)) == n
@@ -111,8 +133,15 @@ def test_encode_equals_the_reference_up_to_200000():
 
 
 def test_encode_equals_the_reference_around_every_term():
-    values = _around_every_term(140)
+    # past term(97) fib_encode runs the tail greedy from index 97 (bits._tail_greedy)
+    values = _around_every_term(400)
     assert max(values) > 2**64 and fib_sequence().term(97) in values
+    assert [fib_encode(n) for n in values] == [_reference_fib_encode(n) for n in values]
+
+
+def test_encode_equals_the_reference_far_past_the_tables():
+    rng = random.Random(400)
+    values = [rng.randrange(10 ** (digits - 1), 10**digits) for digits in (rng.randint(30, 1000) for _ in range(200))]
     assert [fib_encode(n) for n in values] == [_reference_fib_encode(n) for n in values]
 
 

@@ -6,6 +6,7 @@ import struct
 import tempfile
 import time
 import tracemalloc
+from bisect import bisect_right
 from itertools import product
 from unittest.mock import patch
 
@@ -173,6 +174,52 @@ def test_single_flip_suffix_recovery():
         if tail > 0:
             assert got[-tail:] == values[frame + 2 :]
         assert abs(len(tokens) - len(values)) <= 2
+
+
+def _flip_stream(name):
+    """(codec, a, values) of one of the small streams whose every payload bit is flipped."""
+    rng = random.Random(name)
+    if name == "fib small":
+        return "fib", 0, [rng.randint(1, 40) for _ in range(60)]
+    if name == "fib large":
+        return "fib", 0, [rng.randint(1, 10**9) for _ in range(40)]
+    if name == "gh -2^15":
+        # random draws almost never have a code at this a; a sum of non-adjacent
+        # terms from index 6 up is its own greedy split with leftover 0, which has one
+        terms = gh_sequence(-(2**15)).prefix(40)
+        values = []
+        while len(values) < 50:
+            i, picks = 6 + rng.randrange(3), []
+            while i <= 40 and (not picks or rng.random() < 0.7):
+                picks.append(i)
+                i += 2 + rng.randrange(4)
+            values.append(sum(terms[j - 1] for j in picks))
+        return "gh", -(2**15), values
+    a = int(name.split()[1])
+    values = []
+    while len(values) < 50:  # on both sides of the memo's 24-bit bound
+        n = rng.randint(1, rng.choice((40, 10**4, 10**9)))
+        if encode_fast(a, n):
+            values.append(n)
+    return "gh", a, values
+
+
+@pytest.mark.parametrize("chunk", [1, 4096])
+@pytest.mark.parametrize("name", ["fib small", "fib large", "gh -2", "gh -7", "gh -2^15"])
+def test_one_flipped_bit_damages_one_run_of_at_most_three_words(monkeypatch, name, chunk):
+    # a clean token is its kind, value and bit span; the clean tokens a flip loses
+    # must be one run that starts at the word holding the flipped bit
+    monkeypatch.setattr(stream, "_CHUNK_BYTES", chunk)
+    codec, a, values = _flip_stream(name)
+    blob = stream_encode(codec, a, values)
+    clean = list(resync_decode(blob))
+    assert [t.value for t in clean] == values
+    starts = [t.bit_span[0] for t in clean]
+    for p in range(clean[-1].bit_span[1]):
+        kept = set(resync_decode(_flip(blob, p)))
+        lost = [i for i, token in enumerate(clean) if token not in kept]
+        first = bisect_right(starts, p) - 1
+        assert 1 <= len(lost) <= 3 and lost == list(range(first, first + len(lost))), (p, lost)
 
 
 def test_terminator_flip_merges_two_frames():
