@@ -41,10 +41,18 @@ class MalformedCodeError(ValueError):
 
 
 class NonPositiveValueError(ValueError):
-    """Structurally valid codeword whose bits sum to zero or less."""
+    """Structurally valid codeword whose bits sum to zero or less.
+
+    A value of 10^D or more in size (_digit_limit) is given by its bit
+    length, as str() cannot print it.
+    """
 
     def __init__(self, computed: int, code: str):
-        super().__init__(f"codeword {code!r} decodes to non-positive value {computed}")
+        if -computed < _digit_limit()[1]:
+            super().__init__(f"codeword {code!r} decodes to non-positive value {computed}")
+        else:
+            super().__init__(f"codeword {code!r} decodes to a non-positive value of {computed.bit_length()} bits,"
+                             " past the integer digit limit")
         self.computed = computed
         self.code = code
 

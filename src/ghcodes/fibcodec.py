@@ -40,13 +40,41 @@ index, and taking the largest term not above the remainder leaves less
 than the term below it, so these are the Zeckendorf digits, the same as
 fib_encode's. Below term(65) the top digit is at index 64 at most, so
 the digits fit the 64 bits of a lane, digit i at bit i - 1.
+
+_decode_lanes evaluates words the other way, 1024 to a block: each
+piece (a word less its closing pair) and its closing 1, at most 64
+bits, fill one 64-bit lane from the top, index i at lane bit 64 - i, so
+the lane's byte k, counted from the top, holds indices 8k + 1..8k + 8.
+Let F(0) = 0, F(1) = F(2) = 1 be the Fibonacci numbers, so term(i) =
+F(i + 1). From F(m + n) = F(m) F(n + 1) + F(m - 1) F(n),
+
+    term(8k + 1 + j) = F(8k + j + 2) = F(8k + 1) F(j + 2) + F(8k) F(j + 1),
+
+so a byte with bits b_0..b_7, b_j at index 8k + 1 + j, adds F(8k + 1) P +
+F(8k) Q to its lane, where P is the sum of b_j F(j + 2) and Q the sum of
+b_j F(j + 1). P and Q depend on the byte alone: two 256-entry tables,
+which bytes.translate applies to every byte at once. Whatever the bits,
+P <= F(2) + ... + F(9) = F(11) - 2 = 87 and Q <= F(1) + ... + F(8) =
+F(10) - 1 = 54, so each fits a byte and the translated bytes keep the
+lane layout. For each k, shifting right by 56 - 8k and masking the low
+byte of every lane leaves P_k (or Q_k) alone in its lane, and one
+multiply by F(8k + 1) (or F(8k)) and one add give every lane its share.
+Every product is non-negative, and a lane's sum has at most 16 of them,
+each at most 87 F(57), with F(57) = 365,435,296,162 the largest factor
+(k = 7); 16 * 87 * F(57) < 2^49 < 2^63. So no partial sum leaves its 64
+bits, no carry crosses a lane, and each lane ends as its word's value,
+which the lanes are read back as. A decoder refuses a word longer than
+L or worth 10^D or more (bits._digit_limit). D is 0, with no limit, or
+at least 640, the smallest limit Python allows, and there L >= 3,066;
+a word of at most 65 bits is worth less than term(65) < 2^63 < 10^19.
+So no word the lanes take can be refused.
 """
 
 import sys
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import repeat
-from operator import itemgetter
+from operator import add, itemgetter
 
 from ghcodes.bits import _tail_bits, _tail_greedy, read_codeword
 from ghcodes.sequences import fib_sequence
@@ -55,8 +83,8 @@ __all__ = ["fib_decode", "fib_encode"]
 
 _BLOCK = 12  # indices per block of the tables
 _BLOCKS = 8  # blocks in the tables, indices 1..96
-_LANES = 1024  # values per block of _encode_lanes, one 64-bit lane each
-_LANES_BELOW = 65  # _encode_lanes takes the values below term(65), whose codewords fit a lane
+_LANES = 1024  # values or words per block of the lanes, one 64-bit lane each
+_LANES_BELOW = 65  # the lanes take the values below term(65), whose codewords of at most 65 bits fit a lane
 _REVERSED = itemgetter(slice(None, None, -1))
 
 
@@ -152,6 +180,56 @@ def _encode_lanes(values: list[int]) -> str:
         found.frombytes(digits.to_bytes(8 * len(block), sys.byteorder))
         blocks.append("1".join(map(_REVERSED, map(format, found, repeat("b")))) + "1")
     return "".join(blocks)
+
+
+@lru_cache(maxsize=None)
+def _byte_tables() -> tuple[bytes, bytes, tuple[tuple[int, int], ...], int]:
+    """The P and Q tables, (F(8k + 1), F(8k)) for k = 0..7, and 255 in the low byte of every lane of a block.
+
+    Byte b gives P = the sum of F(j + 2) and Q = the sum of F(j + 1) over
+    its set bits j, j = 0 the top bit (see the module docstring). Built
+    on the first call, as _lane_tables is.
+    """
+    f = [0, 1, *fib_sequence().prefix(56)]  # F(0) to F(57): F(n) = term(n - 1)
+
+    def table(shift: int) -> bytes:
+        return bytes(sum(f[j + shift] for j in range(8) if b & 128 >> j) for b in range(256))
+
+    low = int.from_bytes((bytes(7) + b"\xff") * _LANES, "big")
+    return table(2), table(1), tuple((f[8 * k + 1], f[8 * k]) for k in range(8)), low
+
+
+def _decode_lanes(pieces: list[str]) -> list[int]:
+    """The value of each piece + "1" under fib, for pieces of at most 63 bits.
+
+    Evaluates 1024 pieces at a time, one to a 64-bit lane of a Python
+    int, index 1 at the lane's top bit. The lanes' bytes go through the
+    P and Q tables, and each lane's value is the sum over its bytes k of
+    F(8k + 1) P_k + F(8k) Q_k, up to the byte that holds the block's
+    longest word (see the module docstring for why that is exact). The
+    strings are built and the lanes read back in C-level maps, with no
+    Python call per piece.
+    """
+    from array import array
+
+    p_table, q_table, factors, low = _byte_tables()
+    found: list[int] = []
+    for first in range(0, len(pieces), _LANES):
+        block = pieces[first : first + _LANES]
+        size = 8 * len(block)
+        closed = map(str.ljust, map(add, block, repeat("1")), repeat(64), repeat("0"))  # a lane per piece
+        raw = int("".join(closed), 2).to_bytes(size, "big")
+        p = int.from_bytes(raw.translate(p_table), "big")
+        q = int.from_bytes(raw.translate(q_table), "big")
+        total = 0
+        for k in range((max(map(len, block)) + 8) // 8):  # the bytes up to the longest word's closing 1
+            shift = 56 - 8 * k
+            total += (p >> shift & low) * factors[k][0] + (q >> shift & low) * factors[k][1]
+        lanes = array("Q", total.to_bytes(size, "big"))
+        if sys.byteorder == "little":
+            lanes.byteswap()
+        found += lanes
+    return found
 
 
 def fib_decode(code: str) -> int:

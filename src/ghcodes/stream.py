@@ -20,7 +20,16 @@ reports what it could not validate as garbage spans. One flipped
 payload bit loses at most three words: the clean tokens missing from
 the damaged scan form one run of one to three words, starting at the
 word that holds the flip. That bound is tested on every flip of five
-small streams (tests/test_stream.py), not proved.
+small streams (tests/test_stream.py), not proved. Two kinds of flip
+keep the framing, every closed word where it was: a 0-to-1 flip that
+makes no pair, its right neighbour 0 and its left one 0 or the end of a
+word, and a 1-to-0 flip of a 1 outside a closing pair. Each changes one
+value by a term, so strict decoding returns the declared count with
+that value changed, or, under gh, refuses it as below 1, term(1) = a
+being the only negative term. A flip of a padding bit keeps the framing
+too, and strict decoding refuses the nonzero padding. Every other flip
+of a payload bit moves, adds or removes the end of a word. These rules
+are tested on every flip of the same five streams.
 
 Memory: the encoder packs its input in batches of _BATCH_VALUES (8192)
 values, so it holds one batch's values and codewords and the packed
@@ -63,9 +72,12 @@ batch that opens with a short word costs no scan. The decoders
 evaluate a chunk's words together. They look the words up in the memo,
 which evaluates each distinct word once, until a word's codeword is
 longer than _MEMO_MAX_BITS bits. Then they evaluate every word of that
-chunk in the C-level maps of bits.values over one prefix of the terms,
-add the closing terms and keep none, so no Python call is made per
-word.
+chunk at once and keep none, with no Python call per word. Under fib,
+when no word of the chunk is longer than 65 bits, they go to
+fibcodec._decode_lanes, which sums 1024 words at a time in the 64-bit
+lanes of one int; none of them can be refused. Any other chunk goes to
+the C-level maps of bits.values over one prefix of the terms, and the
+closing terms are added.
 Each entry stands for a distinct codeword of 2 to 24 bits, so a memo
 holds at most 75,024 entries.
 """
@@ -78,7 +90,7 @@ from operator import add, itemgetter
 from typing import NamedTuple
 
 from ghcodes.bits import _digit_limit, value, values
-from ghcodes.fibcodec import _LANES_BELOW, _encode_lanes, fib_encode
+from ghcodes.fibcodec import _LANES_BELOW, _decode_lanes, _encode_lanes, fib_encode
 from ghcodes.ghcodec import encode_fast
 from ghcodes.sequences import FibSequence, GHSequence, fib_sequence, gh_sequence
 
@@ -315,10 +327,12 @@ class _WordValues(dict):
     one chunk's pieces. It looks them up while their codewords are at
     most _MEMO_MAX_BITS long, and a missing one is evaluated once and
     kept. A longer piece is a KeyError: then chunk() evaluates every
-    piece of the chunk in C-level maps over one prefix of the terms, the
-    longest piece + 1 long, with no Python call per piece, and keeps
-    none of them. So a memo hit costs no length check, and only that
-    path, which has the longest piece, looks for refused pieces.
+    piece of the chunk with no Python call per piece, and keeps none of
+    them. Under fib, a chunk whose pieces are at most 63 bits goes to
+    fibcodec._decode_lanes, and none of its pieces can be refused. Any
+    other chunk is evaluated in C-level maps over one prefix of the
+    terms, the longest piece + 1 long, and only that path looks for
+    refused pieces. So a memo hit costs no length check.
     """
 
     def __init__(self, seq: GHSequence | FibSequence, limits: tuple[float, float]):
@@ -336,6 +350,8 @@ class _WordValues(dict):
             return list(map(self.__getitem__, pieces)), []
         except KeyError:
             longest = max(map(len, pieces))
+            if longest + 2 <= _LANES_BELOW and isinstance(self.seq, FibSequence):  # words of at most 65 bits
+                return _decode_lanes(pieces), []
             refused = _refused(self.seq, pieces, longest, self.limits)
             if refused:  # evaluated as "", then set to 0
                 pieces = pieces.copy()

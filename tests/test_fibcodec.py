@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 import ghcodes
 from ghcodes import fibcodec
-from ghcodes.bits import MalformedCodeError, _digit_limit
+from ghcodes.bits import MalformedCodeError, _digit_limit, values
 from ghcodes.fibcodec import fib_decode, fib_encode
 from ghcodes.ghcodec import decode
 from ghcodes.sequences import fib_sequence
@@ -163,9 +163,9 @@ def test_import_builds_no_table():
     src = str(Path(ghcodes.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     probe = ("import ghcodes.cli, ghcodes.fibcodec as f; "
-             "print(f._tables.cache_info().currsize, f._lane_tables.cache_info().currsize)")
+             "print(*(t.cache_info().currsize for t in (f._tables, f._lane_tables, f._byte_tables)))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "0 0\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 0 0\n", "")
 
 
 def test_only_the_lanes_load_array():
@@ -212,6 +212,73 @@ def test_lanes_equal_fib_encode_across_block_edges(count):
 @given(values=st.lists(st.integers(min_value=75_025, max_value=27_777_890_035_287), max_size=1100))
 def test_lanes_equal_fib_encode_on_long_values(values):
     assert fibcodec._encode_lanes(values) == _lane_reference(values)
+
+
+# _decode_lanes: each piece + "1" summed in the 64-bit lanes of one int, for
+# pieces of at most 63 bits; stream's decoders send it the fib chunks of such pieces
+
+def _lane_decode_reference(pieces):
+    # the C-level sum of the terms at a piece's ones, plus its closing term
+    terms = fib_sequence().prefix(64)
+    return [v + terms[len(p)] for v, p in zip(values(terms, pieces), pieces)]
+
+
+def _piece(digits):
+    # the first width digits with the last one cleared: no 11 pair and no final 1,
+    # a piece as the framer yields it
+    return digits[:-1] + "0" if digits else ""
+
+
+def test_decode_lanes_equal_the_reference_at_every_length():
+    rng = random.Random(63)
+    pieces = []
+    for width in range(64):
+        pieces += [_piece("0" * width), _piece(("10" * 32)[:width])]
+        pieces += [_piece("".join(rng.choice(("0", "10")) for _ in range(width))[:width]) for _ in range(4)]
+    assert [len(p) for p in pieces] == [width for width in range(64) for _ in range(6)]
+    assert not any("11" in p or p.endswith("1") for p in pieces)
+    assert fibcodec._decode_lanes(pieces) == _lane_decode_reference(pieces)
+    # the proof holds whatever the bits: every bit set makes P = 87 and Q = 54 in every byte
+    ones = ["1" * width for width in range(64)]
+    assert fibcodec._decode_lanes(ones) == _lane_decode_reference(ones)
+    for piece in pieces + ones:  # one piece to a block: each lane alone
+        assert fibcodec._decode_lanes([piece]) == _lane_decode_reference([piece]), piece
+
+
+def test_decode_lanes_give_the_values_around_every_term_they_take():
+    seq = fib_sequence()
+    values = [n for j in range(1, 66) for n in (seq.term(j) - 1, seq.term(j), seq.term(j) + 1) if 1 <= n < seq.term(65)]
+    pieces = [fib_encode(n)[:-2] for n in values]
+    assert max(map(len, pieces)) == 63
+    assert fibcodec._decode_lanes(pieces) == values
+    assert fibcodec._decode_lanes(pieces[::-1]) == values[::-1]
+
+
+def test_byte_tables_reach_the_bounds_of_the_proof():
+    p_table, q_table, factors, low = fibcodec._byte_tables()
+    assert (p_table[255], q_table[255], max(p_table), max(q_table)) == (87, 54, 87, 54)
+    assert (p_table[128], q_table[128], p_table[1], q_table[1]) == (1, 1, 34, 21)  # F(2), F(1), F(9), F(8)
+    assert factors[7] == (365_435_296_162, 225_851_433_717)  # F(57), F(56)
+    assert 16 * 87 * factors[7][0] < 2**63
+    assert low == int.from_bytes(b"\0" * 7 + b"\xff", "big") * sum(2 ** (64 * i) for i in range(1024))
+
+
+@pytest.mark.parametrize("count", [1, 1023, 1024, 1025, 8192])
+def test_decode_lanes_equal_the_reference_across_block_edges(count):
+    # a block holds 1024 pieces; a short last block makes a shorter int
+    rng = random.Random(count)
+    top = fib_sequence().term(65)
+    values = [rng.choice((rng.randrange(1, top), rng.randrange(1, 10**6))) for _ in range(count)]
+    pieces = [fib_encode(n)[:-2] for n in values]
+    assert fibcodec._decode_lanes(pieces) == values == _lane_decode_reference(pieces)
+
+
+@given(values=st.lists(st.integers(min_value=1, max_value=27_777_890_035_287), max_size=1100))
+def test_decode_lanes_equal_the_reference_on_random_pieces(values):
+    # every piece of at most 63 bits with no 11 pair and no final 1 is fib_encode(n)[:-2]
+    # for one n in [1, term(65))
+    pieces = [fib_encode(n)[:-2] for n in values]
+    assert fibcodec._decode_lanes(pieces) == values == _lane_decode_reference(pieces)
 
 
 def test_threads_making_the_first_call_together_get_the_reference_codes():

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from ghcodes import sequences
-from ghcodes.bits import MalformedCodeError, _digit_limit, _limit_at, validate_codeword, value
+from ghcodes.bits import MalformedCodeError, NonPositiveValueError, _digit_limit, _limit_at, validate_codeword, value
 from ghcodes.cli import main
 from ghcodes.fibcodec import fib_decode, fib_encode
 from ghcodes.ghcodec import decode, decode_many, encode_fast, missing_runs
@@ -247,6 +247,24 @@ def test_decode_refuses_a_short_word_past_the_bound_at_a_huge_a(int_digits, caps
     assert value(gh_sequence(a), code[:-1]) >= 10**4300
     assert main(["decode", f"--a={a}", code]) == 2
     assert capsys.readouterr().err == "error: codeword value past the integer digit limit (bit offset 0)\n"
+
+
+@pytest.mark.parametrize("digits", [4299, 4300])
+def test_a_non_positive_word_past_the_bound_keeps_its_error_class(int_digits, digits):
+    # "11" is worth term(1) = a: at a = -10^4300 str() cannot print it, so the
+    # message gives its bit length, as UnencodableValueError does
+    int_digits(4300)
+    a = -(10**digits)
+    with pytest.raises(NonPositiveValueError) as err:
+        decode(a, "11")
+    assert err.value.computed == a
+    if digits == 4299:
+        assert str(err.value) == f"codeword '11' decodes to non-positive value {a}"
+    else:
+        assert str(err.value) == (f"codeword '11' decodes to a non-positive value of {a.bit_length()} bits,"
+                                  " past the integer digit limit")
+    with pytest.raises(NonPositiveValueError):
+        decode_many(a, ["11"])
 
 
 def test_a_long_gh_word_at_a_huge_a_is_refused_unevaluated(int_digits, capsys):

@@ -222,6 +222,52 @@ def test_one_flipped_bit_damages_one_run_of_at_most_three_words(monkeypatch, nam
         assert 1 <= len(lost) <= 3 and lost == list(range(first, first + len(lost))), (p, lost)
 
 
+@pytest.mark.parametrize("name", ["fib small", "fib large", "gh -2", "gh -7", "gh -2^15"])
+def test_flips_that_keep_the_framing_change_one_value_or_are_refused(name):
+    # the framing is the bit spans of the closed words. It stays when a 0-to-1
+    # flip makes no pair (its right neighbour is 0, its left one 0 or the end
+    # of a word) and when a 1-to-0 flip clears a 1 outside a closing pair;
+    # every other flip of a payload bit moves a span. A kept framing changes
+    # one value by term(i): strict decoding gives the declared count with that
+    # one value changed, or, under gh, where term(1) = a < 0, refuses a value
+    # below 1. A flip in the padding keeps the framing, and strict decoding
+    # refuses the nonzero padding
+    codec, a, values = _flip_stream(name)
+    blob = stream_encode(codec, a, values)
+    framed = lambda blob: [(lo, hi) for lo, hi, v in _reference_spans(blob)[2] if v is not None]
+    clean = framed(blob)
+    bit_length = clean[-1][1]
+    bits = "".join(f"{byte:08b}" for byte in blob[HEADER_SIZE:])[:bit_length] + "0"
+    closing = {i for _, hi in clean for i in (hi - 2, hi - 1)}
+    outcomes = set()
+    for p in range(8 * (len(blob) - HEADER_SIZE)):
+        damaged = _flip(blob, p)
+        framing = framed(damaged)
+        if p >= bit_length:
+            assert framing == clean, p
+            with pytest.raises(PayloadError, match="padding bits must be zero"):
+                stream_decode(damaged)
+            outcomes.add("padding")
+            continue
+        if bits[p] == "0":
+            keeps = bits[p + 1] == "0" and (p == 0 or bits[p - 1] == "0" or p - 1 in closing)
+        else:
+            keeps = p not in closing
+        assert (framing == clean) == keeps, p
+        if not keeps:
+            continue
+        try:
+            got = list(stream_decode(damaged))
+        except PayloadError as exc:
+            assert codec == "gh" and "non-positive value" in str(exc), (p, exc)
+            outcomes.add("non-positive")
+        else:
+            assert len(got) == len(values) and sum(map(int.__ne__, got, values)) == 1, p
+            outcomes.add("one value")
+    # of these streams only gh -2 holds a word a kept framing can take below 1
+    assert outcomes - {"padding"} == ({"one value", "non-positive"} if name == "gh -2" else {"one value"})
+
+
 def test_terminator_flip_merges_two_frames():
     values = [7, 10, 1, 99, 4, 250]
     blob = stream_encode("gh", -2, values)
@@ -540,8 +586,8 @@ def test_memo_keeps_short_words_and_rebuilds_long_ones(monkeypatch):
         return [dict(m) for m in memos]
 
     # one word per chunk, or one chunk that the 25-bit word sends to the
-    # C-level path: either way the 24-bit word is evaluated once per pass
-    # and kept, and the 25-bit word is never kept
+    # lanes: either way the 24-bit word is evaluated once per pass and
+    # kept, and the 25-bit word is never kept
     for chunk in (1, 4096):
         monkeypatch.setattr(stream, "_CHUNK_BYTES", chunk)
         assert decode_both() == [{short: 75024}] * 2
@@ -812,9 +858,10 @@ def test_cli_resync_lines_equal_the_tokens_on_random_payloads(chunk, key, bits, 
 
 
 # A chunk's pieces take the memo while each is at most 22 bits (a 24-bit
-# codeword), and C-level maps once one has 23 bits or more. Payloads of each pool
-# put the last short and first long codewords alone in a chunk or beside
-# others, and a gh long word beside the non-positive words "11" and "1011".
+# codeword), and once one has 23 bits or more, the lanes (fib, at most 63
+# bits) or C-level maps. Payloads of each pool put the last short and first
+# long codewords alone in a chunk or beside others, and a gh long word beside
+# the non-positive words "11" and "1011".
 @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
 @pytest.mark.parametrize("key", sorted(_MEMO_POOLS))
 def test_chunk_evaluator_equals_the_references(monkeypatch, chunk, key):
@@ -837,6 +884,60 @@ def test_chunk_evaluator_equals_the_references(monkeypatch, chunk, key):
         for blob in (clean, damaged):
             assert _strict_outcome(blob) == _reference_strict(blob)
             _assert_cli_resync_prints_the_tokens(blob)
+
+
+def _recorded_lanes(monkeypatch):
+    """The chunks stream sends to fibcodec._decode_lanes from now on, recorded as they go."""
+    sent, real = [], stream._decode_lanes
+    monkeypatch.setattr(stream, "_decode_lanes", lambda pieces: sent.append(list(pieces)) or real(pieces))
+    return sent
+
+
+def test_only_fib_chunks_of_pieces_up_to_63_bits_go_to_the_lanes(monkeypatch):
+    sent = _recorded_lanes(monkeypatch)
+    seq = fib_sequence()
+    limits = _digit_limit()
+    reference = lambda pieces: [value(seq, p + "1") for p in pieces]
+    short = [fib_encode(n)[:-2] for n in (1, 5, 75_024)]  # memo hits alone: no chunk evaluation
+    longest = fib_encode(seq.term(65) - 1)[:-2]  # 63 bits
+    past = fib_encode(seq.term(65))[:-2]  # 64 bits
+    assert (len(longest), len(past)) == (63, 64)
+    for pieces, lanes in ((short, False), (short + [longest], True), ([longest, past] + short, False), ([past], False)):
+        sent.clear()
+        assert stream._WordValues(seq, limits).chunk(pieces) == (reference(pieces), [])
+        assert sent == ([pieces] if lanes else []), [len(p) for p in pieces]
+    # a gh chunk keeps the C-level path, its longest piece short or not
+    gh = gh_sequence(-2)
+    for v in (10**6, 10**12):
+        pieces = [encode_fast(-2, n).code[:-2] for n in (1, 7, v)]
+        found = stream._WordValues(gh, limits).chunk(pieces)
+        assert found == ([value(gh, p + "1") for p in pieces], []) and sent == []
+
+
+@pytest.mark.parametrize("chunk", [64, 4096])
+def test_lanes_and_the_c_path_give_the_same_tokens_on_a_damaged_fib_file(monkeypatch, chunk):
+    # one flip per 512 payload bits of long fib words: the flips merge words past
+    # 63 bits, so both paths run; the lanes may not change a token or a garbage span
+    monkeypatch.setattr(stream, "_CHUNK_BYTES", chunk)
+    rng = random.Random(chunk)
+    values = [rng.randrange(1, 10**12) for _ in range(3000)] + [fib_sequence().term(65)]
+    blob = stream_encode("fib", 0, values)
+    damaged = blob
+    bits = int.from_bytes(blob[16:24], "little")
+    for start in range(0, bits, 512):
+        damaged = _flip(damaged, rng.randrange(start, min(start + 512, bits)))
+    # the unterminated tail: the last word loses its closing 1
+    damaged = _flip(damaged, bits - 1)
+    sent = _recorded_lanes(monkeypatch)
+    assert list(stream_decode(blob)) == values
+    with_lanes = list(resync_decode(damaged))
+    assert with_lanes == _reference_resync(damaged)
+    # some chunks went to the lanes, and some hold a word past 65 bits, which they may not take
+    assert sent and any(t.bit_span[1] - t.bit_span[0] > 65 for t in with_lanes)
+    assert any(t.kind == "garbage" for t in with_lanes)
+    monkeypatch.setattr(stream, "_LANES_BELOW", 0)  # every chunk takes the C-level path
+    sent.clear()
+    assert list(resync_decode(damaged)) == with_lanes and sent == []
 
 
 def _pieces(max_bits):
