@@ -35,24 +35,26 @@ Memory: the encoder packs its input in batches of _BATCH_VALUES (8192)
 values, so it holds one batch's values and codewords and the packed
 bytes, never a list or a '0'/'1' string of the whole stream; the
 values may come from a generator. Both decoders frame the payload with
-one splitter that turns _CHUNK_BYTES (4096) bytes at a time into bits
-and splits them at each closing pair, carrying only the unfinished
-word into the next chunk. So a decoder holds the payload, one chunk's
-bits and words, and one word that runs past a chunk, never a string of
-the whole payload or a value per word. That unclosed word is bounded
-too: past L bits (bits._digit_limit), which no decoder evaluates, only
-its width is kept. One scan over the frames finds each chunk's
-garbage, the words below 1: only the short pieces of _SHORT_PIECES can
-be, so it evaluates those alone and searches a chunk only for the ones
-it holds. The strict decoder runs that scan as a first pass over the
-whole payload. It also takes each chunk's longest word, and refuses a
+one splitter that turns a chunk of at most _CHUNK_BYTES (4096) bytes,
+and at most L - _NEAR_BITS bits (L of bits._digit_limit), at a time
+into bits and splits them at each closing pair, carrying only the
+unfinished word into the next chunk. So a decoder holds the payload,
+one chunk's bits and words, and one word that runs past a chunk, never
+a string of the whole payload or a value per word. That unclosed word
+is bounded too: past L bits, which no decoder evaluates, only its width
+is kept. The splitter is the one door for the digit limit: it refuses a
 word longer than L or worth 10^D or more, the values that could not be
-printed; only words within _NEAR_BITS of L can be, so it evaluates
-those alone. So it fails before its caller sees any value; it then
-returns an iterable that decodes the values chunk by chunk. The resync
-scan reports those refused words as garbage spans, and finds them only
-in a chunk its memo cannot evaluate, where it already has the longest
-word. resync_decode checks the header at once and returns a scan that
+printed. With chunks that small only a word carried into a chunk can
+be either, so it looks at that word alone, and evaluates it once if it
+is longer than L - _NEAR_BITS. One scan over the frames finds each
+chunk's garbage: that refused word, and the words below 1. Only the
+short pieces of _SHORT_PIECES can be below 1, so it evaluates those
+alone and searches a chunk only for the ones it holds. The strict
+decoder runs that scan as a first pass over the whole payload and fails
+at the first garbage word within the declared count, so it fails before
+its caller sees any value; it then returns an iterable that decodes the
+values chunk by chunk. The resync scan reports the garbage as spans.
+resync_decode checks the header at once and returns a scan that
 yields its tokens one at a time. It evaluates each chunk of the scan
 in one call and computes bit spans only for its garbage, and the CLI
 prints each chunk's values and garbage spans from it without a token
@@ -75,9 +77,9 @@ longer than _MEMO_MAX_BITS bits. Then they evaluate every word of that
 chunk at once and keep none, with no Python call per word. Under fib,
 when no word of the chunk is longer than 65 bits, they go to
 fibcodec._decode_lanes, which sums 1024 words at a time in the 64-bit
-lanes of one int; none of them can be refused. Any other chunk goes to
-the C-level maps of bits.values over one prefix of the terms, and the
-closing terms are added.
+lanes of one int. Any other chunk goes to the C-level maps of
+bits.values over one prefix of the terms, and the closing terms are
+added. A word the splitter refused is valued 0, unevaluated.
 Each entry stands for a distinct codeword of 2 to 24 bits, so a memo
 holds at most 75,024 entries.
 """
@@ -118,7 +120,8 @@ _MEMO_MAX_BITS = 24
 # values packed per batch: the codewords of one batch are joined and
 # packed, and the fewer than 8 bits left over go to the next one
 _BATCH_VALUES = 8192
-# payload bytes the decoders turn into bits at a time
+# payload bytes the decoders turn into bits at a time, at most: _frames keeps
+# a chunk within L - _NEAR_BITS bits (bits._digit_limit)
 _CHUNK_BYTES = 4096
 # a codeword of l bits is worth less than (|a| + 3) F(l + 1), F(1) = F(2) = 1:
 # the ones sit at non-adjacent indices below l, every |term(i)| is at most
@@ -280,23 +283,6 @@ def _parse_header(data: bytes) -> tuple[GHSequence | FibSequence, int, int, memo
     return seq, count, bit_length, memoryview(data)[_HEADER.size :]
 
 
-def _refused(seq: GHSequence | FibSequence, pieces: list[str], longest: int,
-             limits: tuple[float, float]) -> list[int]:
-    """Indices of the pieces whose codewords a decoder refuses, longest the longest piece's length.
-
-    A codeword longer than L, or worth 10^D or more, is refused, where
-    limits is (L, 10^D) (bits._digit_limit). Only one longer than
-    L - _NEAR_BITS can be worth that much under a header's a, so only
-    those are looked at, and only those of at most L bits are evaluated.
-    """
-    limit, bound = limits
-    near = limit - _NEAR_BITS
-    if longest + 2 <= near:
-        return []
-    return [i for i, piece in enumerate(pieces) if len(piece) + 2 > near
-            and (len(piece) + 2 > limit or value(seq, piece + "1") >= bound)]
-
-
 def _spans(start: int, pieces: list[str], at: Iterable[int]) -> list[tuple[int, int, int]]:
     """(i, lo, hi) per i in at: the bits of piece i's word, closing pair included."""
     # ends[i] is where piece i starts, less the 2 * i bits of the pairs before it
@@ -305,10 +291,11 @@ def _spans(start: int, pieces: list[str], at: Iterable[int]) -> list[tuple[int, 
 
 
 class _Dropped(str):
-    """A piece too long to decode, kept as its width: len() gives that, and it holds no bits.
+    """A piece _frames refused, kept as its width: len() gives that, and it holds no bits.
 
-    Its text is "11", which no piece holds, so no lookup of a piece
-    can match it.
+    Its word is longer than L, or worth 10^D or more (bits._digit_limit).
+    Its text is "11", which no piece holds, so no lookup of a piece can
+    match it.
     """
 
     def __new__(cls, width: int):
@@ -329,60 +316,68 @@ class _WordValues(dict):
     kept. A longer piece is a KeyError: then chunk() evaluates every
     piece of the chunk with no Python call per piece, and keeps none of
     them. Under fib, a chunk whose pieces are at most 63 bits goes to
-    fibcodec._decode_lanes, and none of its pieces can be refused. Any
-    other chunk is evaluated in C-level maps over one prefix of the
-    terms, the longest piece + 1 long, and only that path looks for
-    refused pieces. So a memo hit costs no length check.
+    fibcodec._decode_lanes; any other chunk is evaluated in C-level maps
+    over one prefix of the terms, the longest piece + 1 long. A piece
+    _frames refused, which only a chunk's first piece can be, is a
+    _Dropped piece, longer than the memo takes: it is valued 0 and never
+    evaluated. So a memo hit costs no length check.
     """
 
-    def __init__(self, seq: GHSequence | FibSequence, limits: tuple[float, float]):
+    def __init__(self, seq: GHSequence | FibSequence):
         self.seq = seq  # dict.__new__ has made the empty memo
-        self.limits = limits
 
     def __missing__(self, piece: str) -> int:
         if len(piece) + 2 > _MEMO_MAX_BITS:
             raise KeyError(piece)
         return self.setdefault(piece, value(self.seq, piece + "1"))
 
-    def chunk(self, pieces: list[str]) -> tuple[list[int], list[int]]:
-        """The values of a chunk's pieces in order, and the indices _refused gives, valued 0."""
+    def chunk(self, pieces: list[str]) -> list[int]:
+        """The values of a chunk's pieces in order, 0 for a refused first piece."""
         try:
-            return list(map(self.__getitem__, pieces)), []
+            return list(map(self.__getitem__, pieces))
         except KeyError:
+            if isinstance(pieces[0], _Dropped):
+                return [0, *self.chunk(pieces[1:])]
             longest = max(map(len, pieces))
             if longest + 2 <= _LANES_BELOW and isinstance(self.seq, FibSequence):  # words of at most 65 bits
-                return _decode_lanes(pieces), []
-            refused = _refused(self.seq, pieces, longest, self.limits)
-            if refused:  # evaluated as "", then set to 0
-                pieces = pieces.copy()
-                for i in refused:
-                    pieces[i] = ""
-                longest = max(map(len, pieces))
+                return _decode_lanes(pieces)
             # the sum of the terms at a piece's ones, plus its closing 1
             terms = self.seq.prefix(longest + 1)
-            found = list(map(add, values(terms, pieces), map(terms.__getitem__, map(len, pieces))))
-            for i in refused:
-                found[i] = 0
-            return found, refused
+            return list(map(add, values(terms, pieces), map(terms.__getitem__, map(len, pieces))))
 
 
-def _frames(payload: memoryview, avail: int, limit: float) -> Iterator[tuple[int, list[str]]]:
+def _frames(payload: memoryview, avail: int, seq: GHSequence | FibSequence,
+            limits: tuple[float, float]) -> Iterator[tuple[int, list[str]]]:
     """The complete pieces in the first avail bits of a payload, chunk by chunk.
 
     A piece runs from the start of a word to the next 11 pair, the first
     one str.find("11") would meet, so a run of three ones closes its
-    word at the first two. Per chunk of _CHUNK_BYTES bytes that
-    completes a piece, yields the bit offset of its first piece and its
-    pieces in order. The unfinished last piece is carried into the next
-    chunk as a list of parts, joined once when the piece closes, so the
-    time stays linear in avail however long a piece runs. Once its word
-    is longer than limit, L of bits._digit_limit, which no decoder evaluates,
-    only its width and its last bit are kept, and it closes as a
-    _Dropped piece; so the memory stays bounded as well. Last comes a
-    chunk with no pieces, at the offset where the last piece ends: an
-    unterminated tail starts there, and it is never yielded.
+    word at the first two. Per chunk that completes a piece, yields the
+    bit offset of its first piece and its pieces in order. The
+    unfinished last piece is carried into the next chunk as a list of
+    parts, joined once when the piece closes, so the time stays linear
+    in avail however long a piece runs. Last comes a chunk with no
+    pieces, at the offset where the last piece ends: an unterminated
+    tail starts there, and it is never yielded.
+
+    This is the one place a stream decoder refuses a word for the digit
+    limit, limits being (L, 10^D) (bits._digit_limit): a word longer
+    than L, or worth 10^D or more under seq. A chunk is _CHUNK_BYTES
+    bytes, or fewer, so that it holds at most near = L - _NEAR_BITS
+    bits. A piece that opens after a closing pair in a chunk, and closes
+    in it, then has a word of at most near - 1 bits (the chunk's bits,
+    a carried 1 in front, less the pair before it), which stays below
+    10^D. So only the first piece of a chunk, the one carried into it,
+    can be refused, and its width is known. Once its word is longer than
+    L, only its width and its last bit are kept, so the memory stays
+    bounded as well, and it closes as a _Dropped piece unevaluated. A
+    word of near + 1 to L bits is evaluated once when it closes, and is
+    a _Dropped piece if it is worth 10^D or more.
     """
-    size = _CHUNK_BYTES  # read per call, so a test can put boundaries anywhere
+    limit, bound = limits
+    near = limit - _NEAR_BITS
+    # _CHUNK_BYTES is read per call, so a test can put boundaries anywhere
+    size = min(_CHUNK_BYTES, near // 8)
     nbytes = (avail + 7) // 8
     held: list[str] = []  # parts of the unfinished piece, less a final 1, while it fits
     width = 0  # the bits of that piece, held or not
@@ -400,6 +395,8 @@ def _frames(payload: memoryview, avail: int, limit: float) -> Iterator[tuple[int
             width += len(parts[0])
             held.append(parts[0])
             parts[0] = "".join(held) if width + 2 <= limit else _Dropped(width)
+            if near < width + 2 <= limit and value(seq, parts[0] + "1") >= bound:
+                parts[0] = _Dropped(width)
             yield start, parts
             held, width = [], 0
             start = end - len(tail)
@@ -433,16 +430,13 @@ def stream_decode(data: bytes) -> Iterable[int]:
     # the scan ends with a chunk of no pieces, so start and words are always set
     for start, pieces, garbage in values._scan():
         words = pieces[:left]
-        refused = _refused(seq, words, max(map(len, words), default=0), values._limits)
-        if refused:
-            garbage = sorted(garbage + _spans(start, pieces, refused))
         if garbage and garbage[0][0] < left:
             i, lo, _ = garbage[0]
             if len(pieces[i]) + 2 > limit:
                 raise PayloadError(f"codeword longer than {limit} bits", lo)
-            v = value(seq, pieces[i] + "1")
-            raise PayloadError(f"codeword decodes to non-positive value {v}" if v < 1
-                               else "codeword value past the integer digit limit", lo)
+            if isinstance(pieces[i], _Dropped):  # refused by _frames for its value
+                raise PayloadError("codeword value past the integer digit limit", lo)
+            raise PayloadError(f"codeword decodes to non-positive value {value(seq, pieces[i] + '1')}", lo)
         left -= len(words)
         if not left:
             break
@@ -474,27 +468,31 @@ class _Payload:
     def _scan(self) -> Iterator[tuple[int, list[str], list[tuple[int, int, int]]]]:
         """Per chunk _frames yields: its start, its pieces, and its garbage.
 
-        garbage lists (index, lo, hi) per piece whose word is below 1,
-        with the bits of the word and its closing pair. Only the short
-        pieces can be below 1, so they alone are evaluated, and only a
-        chunk that holds one of them is searched and measured.
+        garbage lists (index, lo, hi) per piece whose word is below 1 or
+        refused by _frames, with the bits of the word and its closing
+        pair. Only the short pieces can be below 1, so they alone are
+        evaluated, and only a chunk that holds one of them is searched
+        and measured. Only the first piece can be refused, so that costs
+        one look per chunk.
         """
         below = [p for p in _SHORT_PIECES if value(self._seq, p + "1") < 1]
-        for start, pieces in _frames(self._payload, self._avail, self._limits[0]):
+        for start, pieces in _frames(self._payload, self._avail, self._seq, self._limits):
             low = {p for p in below if p in pieces}
             at = compress(range(len(pieces)), map(low.__contains__, pieces))
-            yield start, pieces, _spans(start, pieces, at) if low else []
+            garbage = _spans(start, pieces, at) if low else []
+            if pieces and isinstance(pieces[0], _Dropped):  # no short piece matches it
+                garbage.insert(0, (0, start, start + len(pieces[0]) + 2))
+            yield start, pieces, garbage
 
 
 class _Values(_Payload):
     """The values of one checked payload, decoded anew on each iteration."""
 
     def __iter__(self) -> Iterator[int]:
-        pieces = map(itemgetter(1), _frames(self._payload, self._avail, self._limits[0]))
+        pieces = map(itemgetter(1), _frames(self._payload, self._avail, self._seq, self._limits))
         # chained in C: no Python frame resumes per chunk or per value. The
-        # check refused every word that chunk() would, so none is valued 0
-        evaluated = map(_WordValues(self._seq, self._limits).chunk, pieces)
-        return chain.from_iterable(map(itemgetter(0), evaluated))
+        # check refused the file if _frames refused a word, so none is valued 0
+        return chain.from_iterable(map(_WordValues(self._seq).chunk, pieces))
 
 
 class _ResyncScan(_Payload):
@@ -507,12 +505,9 @@ class _ResyncScan(_Payload):
         read. An unterminated tail comes last, as a chunk of one garbage
         word of value 0.
         """
-        word_values = _WordValues(self._seq, self._limits)
+        word_values = _WordValues(self._seq)
         for start, pieces, garbage in self._scan():
-            found, refused = word_values.chunk(pieces)
-            if refused:  # a word past the digit limit is garbage as well
-                garbage = sorted(garbage + _spans(start, pieces, refused))
-            yield start, map(partial(add, 2), map(len, pieces)), found, garbage
+            yield start, map(partial(add, 2), map(len, pieces)), word_values.chunk(pieces), garbage
         # the last chunk has no pieces and starts where the tail does
         if start < self._avail:
             yield start, [self._avail - start], [0], [(0, start, self._avail)]
@@ -520,8 +515,8 @@ class _ResyncScan(_Payload):
     def chunks(self) -> Iterator[tuple[list[int], list[tuple[int, int, int]]]]:
         """Per chunk: its word values and its garbage.
 
-        garbage lists (index, lo, hi) per word below 1; an unterminated
-        tail is the last chunk's only word, with value 0.
+        garbage lists (index, lo, hi) per word below 1 or refused, valued
+        0; an unterminated tail is the last chunk's only word, with value 0.
         """
         return map(itemgetter(2, 3), self._evaluated())
 

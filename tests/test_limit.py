@@ -6,6 +6,7 @@ digit limit D, and a word past it must cost no more than its size.
 
 import math
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -15,8 +16,16 @@ from pathlib import Path
 
 import pytest
 
-from ghcodes import sequences
-from ghcodes.bits import MalformedCodeError, NonPositiveValueError, _digit_limit, _limit_at, validate_codeword, value
+from ghcodes import sequences, stream
+from ghcodes.bits import (
+    MalformedCodeError,
+    NonPositiveValueError,
+    _digit_limit,
+    _limit_at,
+    read_codeword,
+    validate_codeword,
+    value,
+)
 from ghcodes.cli import main
 from ghcodes.fibcodec import fib_decode, fib_encode
 from ghcodes.ghcodec import decode, decode_many, encode_fast, missing_runs
@@ -171,9 +180,13 @@ def test_codes_of_the_bound_are_refused_by_every_door(int_digits, codec, a):
         ResyncToken("value", 1, (0, len(first))),
         ResyncToken("garbage", None, (len(first), width)),
     ]
-    # the CLI's lines come from the chunks; the last, empty one is where a tail would start
-    chunks = [[1, 0], [(1, len(first), width)]], [[], []]
-    assert [list(c) for c in resync_decode(blob).chunks()] == list(chunks)
+    # the CLI's lines come from the chunks, of 380 bytes at D = 640: taken together,
+    # each garbage span by its word's index in the payload and its bits
+    found, garbage = [], []
+    for values, spans in resync_decode(blob).chunks():
+        garbage += [(len(found) + i, lo, hi) for i, lo, hi in spans]
+        found += values
+    assert (found, garbage) == ([1, 0], [(1, len(first), width)])
 
 
 def test_word_past_the_limit_is_refused_unevaluated(int_digits, monkeypatch):
@@ -194,6 +207,146 @@ def test_word_past_the_limit_is_refused_unevaluated(int_digits, monkeypatch):
         assert list(resync_decode(blob)) == [ResyncToken("garbage", None, (0, limit + 1))]
     assert max(lengths) < limit - 26
     assert len(fib_sequence()._terms) == held
+
+
+def _flip(blob, bit):
+    out = bytearray(blob)
+    out[24 + bit // 8] ^= 0x80 >> bit % 8
+    return bytes(out)
+
+
+def _word_of_width(codec, a, width, rng):
+    """A codeword of exactly width bits, for a random value that has one."""
+    seq = fib_sequence() if codec == "fib" else gh_sequence(a)
+    while True:
+        code = _code(codec, a, rng.randrange(seq.term(width - 1), seq.term(width)))
+        if code and len(code) == width:
+            return code
+
+
+# The framer (stream._frames) is the one door for the limit in the stream
+# decoders. Its chunks hold at most near = L - 26 bits, so a word of more
+# than near - 1 bits is always the first piece of a chunk, carried into it
+
+@pytest.mark.parametrize("digits, size", [(640, 380), (4300, 2569), (0, 4096)])
+def test_only_a_chunks_first_piece_has_a_word_past_near_less_one(int_digits, digits, size):
+    int_digits(digits)
+    limits = _digit_limit()
+    limit = limits[0]
+    bits = 8 * size  # the bits of a chunk
+    assert bits <= limit - 26 and (digits == 0 or bits > limit - 34)
+    rng = random.Random(digits)
+    # no word of near + 1 to L bits, which the framer would evaluate
+    long = [bits - 2, bits - 1, bits] + ([limit + 1, 2 * limit] if digits else [bits + 1, 3 * bits])
+    widths = []
+    for width in rng.sample(long * 3, 3 * len(long)):
+        widths += rng.choices(range(2, 9), k=rng.randrange(6)) + [width]
+    pieces = []
+    for width in widths:
+        piece = "".join(rng.choice(("0", "10")) for _ in range(width))[: width - 2]
+        pieces.append(piece[:-1] + "0" if piece.endswith("1") else piece)
+    payload = "".join(piece + "11" for piece in pieces)
+    blob = _document(0, 0, len(pieces), payload)
+    chunks = [found for _, found in stream._frames(memoryview(blob)[24:], len(payload), fib_sequence(), limits)]
+    assert [len(p) + 2 for found in chunks for p in found] == widths
+    assert all(len(p) + 2 < bits for found in chunks for p in found[1:])
+    assert any(len(found[0]) + 2 >= bits for found in chunks if found)
+    # refused for its length alone: only a word past L, and only as a first piece
+    dropped = [isinstance(p, stream._Dropped) for found in chunks for p in found]
+    assert dropped == [width > limit for width in widths]
+
+
+def _read(seq, a, code):
+    """read_codeword's value of code, or None where it refuses the word."""
+    try:
+        return read_codeword(seq, code, a)
+    except MalformedCodeError:
+        return None
+
+
+# words the stream decoders evaluate or refuse for the limit, put at every kind
+# of chunk boundary: carried across one chunk or across several
+@pytest.mark.parametrize("chunk", [64, 4096])
+@pytest.mark.parametrize("codec, a", [("fib", 0), ("gh", -7)])
+def test_the_framer_refuses_the_words_the_reader_refuses(int_digits, monkeypatch, chunk, codec, a):
+    int_digits(640)
+    monkeypatch.setattr(stream, "_CHUNK_BYTES", chunk)
+    limit, bound = _digit_limit()
+    seq = fib_sequence() if codec == "fib" else gh_sequence(a)
+    codec_byte = 0 if codec == "fib" else 1
+    rng = random.Random(chunk)
+    top = _code(codec, a, _largest_below(codec, a, bound))  # accepted
+    over = _code(codec, a, _smallest_from(codec, a, bound))  # refused for its value
+    longest = _word_of_width(codec, a, limit, rng)  # L bits, refused for its value
+    past = "0" * (limit - 1) + "11"  # L + 1 bits, refused for its length
+    far = "0" * (3 * limit) + "11"  # across several chunks
+    assert limit - 26 < len(top) and limit - 26 < len(over) <= limit
+    short = [code for code in (_code(codec, a, n) for n in range(1, 60)) if code]
+    for _ in range(4):
+        words = []
+        for word in rng.sample([top, over, longest, past, far] * 2, 10):
+            words += rng.choices(short, k=rng.randrange(8)) + [word]
+        found = [_read(seq, a, word) for word in words]
+        assert found.count(None) == 8
+        starts = [0]
+        for word in words:
+            starts.append(starts[-1] + len(word))
+        blob = _document(codec_byte, a, len(words), "".join(words))
+        assert list(resync_decode(blob)) == [
+            ResyncToken("value", v, span) if v else ResyncToken("garbage", None, span)
+            for v, span in zip(found, zip(starts, starts[1:]))
+        ]
+        # strict decoding of the accepted words, then of those before each refused one
+        # and that one: its message at its start
+        accepted = [word for word, v in zip(words, found) if v]
+        blob = _document(codec_byte, a, len(accepted), "".join(accepted))
+        assert list(stream_decode(blob)) == [v for v in found if v]
+        for k, v in enumerate(found):
+            if v is None:
+                prior = [word for word, ok in zip(words[:k], found) if ok]
+                message = f"codeword longer than {limit} bits" if len(words[k]) > limit else \
+                    "codeword value past the integer digit limit"
+                with pytest.raises(PayloadError, match=message) as err:
+                    stream_decode(_document(codec_byte, a, len(prior) + 1, "".join(prior + words[k : k + 1])))
+                assert err.value.bit_offset == sum(map(len, prior))
+
+
+# One flipped bit, the last of a closing pair, joins two words into one: past
+# L, or of near + 1 to L bits and worth 10^D or more. Either way the resync
+# scan loses just those two words, to one garbage span over both, and strict
+# decoding refuses the joined word at its start
+@pytest.mark.parametrize("chunk", [1, 4096])
+@pytest.mark.parametrize("codec, a", [("fib", 0), ("gh", -7)])
+@pytest.mark.parametrize("widths, message", [
+    ((1600, 1600), "codeword longer than 3066 bits"),
+    ((1533, 1533), "codeword value past the integer digit limit"),
+])
+def test_a_flip_that_joins_two_words_past_the_limit_damages_those_two(int_digits, monkeypatch, chunk,
+                                                                      codec, a, widths, message):
+    int_digits(640)
+    monkeypatch.setattr(stream, "_CHUNK_BYTES", chunk)
+    limit, bound = _digit_limit()
+    seq = fib_sequence() if codec == "fib" else gh_sequence(a)
+    rng = random.Random(sum(widths))
+    short = [code for code in (_code(codec, a, n) for n in range(1, 60)) if code]
+    for before in (0, 3, 11):
+        joined = [_word_of_width(codec, a, width, rng) for width in widths]
+        merged = joined[0][:-1] + "0" + joined[1]
+        if len(merged) <= limit:
+            assert limit - 26 < len(merged) and value(seq, merged[:-1]) >= bound
+        words = rng.choices(short, k=before) + joined + rng.choices(short, k=5)
+        blob = _document(0 if codec == "fib" else 1, a, len(words), "".join(words))
+        clean = list(resync_decode(blob))
+        assert list(stream_decode(blob)) == [t.value for t in clean] and None not in clean
+        lo, hi = clean[before].bit_span[0], clean[before + 1].bit_span[1]
+        damaged = _flip(blob, clean[before].bit_span[1] - 1)
+        tokens = list(resync_decode(damaged))
+        assert tokens == clean[:before] + [ResyncToken("garbage", None, (lo, hi))] + clean[before + 2 :]
+        kept = set(tokens)
+        assert [i for i, token in enumerate(clean) if token not in kept] == [before, before + 1]
+        with pytest.raises(PayloadError, match=message) as err:
+            stream_decode(damaged)
+        assert err.value.bit_offset == lo
 
 
 # the hostile files at the default limit, D = 4,300

@@ -564,8 +564,8 @@ def test_memo_keeps_short_words_and_rebuilds_long_ones(monkeypatch):
     real_encode, real_value = stream.fib_encode, stream.value
 
     class RecordedWordValues(stream._WordValues):
-        def __init__(self, seq, limits):
-            super().__init__(seq, limits)
+        def __init__(self, seq):
+            super().__init__(seq)
             memos.append(self)
 
     monkeypatch.setattr(stream, "fib_encode", lambda v: built.append(v) or real_encode(v))
@@ -896,7 +896,6 @@ def _recorded_lanes(monkeypatch):
 def test_only_fib_chunks_of_pieces_up_to_63_bits_go_to_the_lanes(monkeypatch):
     sent = _recorded_lanes(monkeypatch)
     seq = fib_sequence()
-    limits = _digit_limit()
     reference = lambda pieces: [value(seq, p + "1") for p in pieces]
     short = [fib_encode(n)[:-2] for n in (1, 5, 75_024)]  # memo hits alone: no chunk evaluation
     longest = fib_encode(seq.term(65) - 1)[:-2]  # 63 bits
@@ -904,14 +903,14 @@ def test_only_fib_chunks_of_pieces_up_to_63_bits_go_to_the_lanes(monkeypatch):
     assert (len(longest), len(past)) == (63, 64)
     for pieces, lanes in ((short, False), (short + [longest], True), ([longest, past] + short, False), ([past], False)):
         sent.clear()
-        assert stream._WordValues(seq, limits).chunk(pieces) == (reference(pieces), [])
+        assert stream._WordValues(seq).chunk(pieces) == reference(pieces)
         assert sent == ([pieces] if lanes else []), [len(p) for p in pieces]
     # a gh chunk keeps the C-level path, its longest piece short or not
     gh = gh_sequence(-2)
     for v in (10**6, 10**12):
         pieces = [encode_fast(-2, n).code[:-2] for n in (1, 7, v)]
-        found = stream._WordValues(gh, limits).chunk(pieces)
-        assert found == ([value(gh, p + "1") for p in pieces], []) and sent == []
+        found = stream._WordValues(gh).chunk(pieces)
+        assert found == [value(gh, p + "1") for p in pieces] and sent == []
 
 
 @pytest.mark.parametrize("chunk", [64, 4096])
