@@ -34,27 +34,30 @@ are tested on every flip of the same five streams.
 Memory: the encoder packs its input in batches of _BATCH_VALUES (8192)
 values, so it holds one batch's values and codewords and the packed
 bytes, never a list or a '0'/'1' string of the whole stream; the
-values may come from a generator. Both decoders frame the payload with
-one splitter that turns a chunk of at most _CHUNK_BYTES (4096) bytes,
-and at most L - _NEAR_BITS bits (L of bits._digit_limit), at a time
+values may come from a generator. Both decoders read the payload
+through one reader, _Scan, which holds the header's sequence, the digit
+limit read at the decoder's call (L and 10^D of bits._digit_limit) and
+the payload. Its framer, _Scan._frames, turns a chunk of at most
+_CHUNK_BYTES (4096) bytes, and at most L - _NEAR_BITS bits, at a time
 into bits and splits them at each closing pair, carrying only the
 unfinished word into the next chunk. So a decoder holds the payload,
 one chunk's bits and words, and one word that runs past a chunk, never
 a string of the whole payload or a value per word. That unclosed word
 is bounded too: past L bits, which no decoder evaluates, only its width
-is kept. The splitter is the one door for the digit limit: it refuses a
+is kept. The framer is the one door for the digit limit: it refuses a
 word longer than L or worth 10^D or more, the values that could not be
 printed. With chunks that small only a word carried into a chunk can
 be either, so it looks at that word alone, and evaluates it once if it
-is longer than L - _NEAR_BITS. One scan over the frames finds each
-chunk's garbage: that refused word, and the words below 1. Only the
-short pieces of _SHORT_PIECES can be below 1, so it evaluates those
+is longer than L - _NEAR_BITS. The reader's _scan finds each chunk's
+garbage in the frames: that refused word, and the words below 1. Only
+the short pieces of _SHORT_PIECES can be below 1, so it evaluates those
 alone and searches a chunk only for the ones it holds. The strict
 decoder runs that scan as a first pass over the whole payload and fails
 at the first garbage word within the declared count, so it fails before
-its caller sees any value; it then returns an iterable that decodes the
-values chunk by chunk. The resync scan reports the garbage as spans.
-resync_decode checks the header at once and returns a scan that
+its caller sees any value; it then returns the reader's subclass
+_Values, whose iteration decodes the values chunk by chunk from the
+frames alone. The resync scan reports the garbage as spans.
+resync_decode checks the header at once and returns the reader, which
 yields its tokens one at a time. It evaluates each chunk of the scan
 in one call and computes bit spans only for its garbage, and the CLI
 prints each chunk's values and garbage spans from it without a token
@@ -79,7 +82,7 @@ when no word of the chunk is longer than 65 bits, they go to
 fibcodec._decode_lanes, which sums 1024 words at a time in the 64-bit
 lanes of one int. Any other chunk goes to the C-level maps of
 bits.values over one prefix of the terms, and the closing terms are
-added. A word the splitter refused is valued 0, unevaluated.
+added. A word the framer refused is valued 0, unevaluated.
 Each entry stands for a distinct codeword of 2 to 24 bits, so a memo
 holds at most 75,024 entries.
 """
@@ -120,7 +123,7 @@ _MEMO_MAX_BITS = 24
 # values packed per batch: the codewords of one batch are joined and
 # packed, and the fewer than 8 bits left over go to the next one
 _BATCH_VALUES = 8192
-# payload bytes the decoders turn into bits at a time, at most: _frames keeps
+# payload bytes the decoders turn into bits at a time, at most: _Scan._frames keeps
 # a chunk within L - _NEAR_BITS bits (bits._digit_limit)
 _CHUNK_BYTES = 4096
 # a codeword of l bits is worth less than (|a| + 3) F(l + 1), F(1) = F(2) = 1:
@@ -283,15 +286,8 @@ def _parse_header(data: bytes) -> tuple[GHSequence | FibSequence, int, int, memo
     return seq, count, bit_length, memoryview(data)[_HEADER.size :]
 
 
-def _spans(start: int, pieces: list[str], at: Iterable[int]) -> list[tuple[int, int, int]]:
-    """(i, lo, hi) per i in at: the bits of piece i's word, closing pair included."""
-    # ends[i] is where piece i starts, less the 2 * i bits of the pairs before it
-    ends = list(accumulate(map(len, pieces), initial=start))
-    return [(i, ends[i] + 2 * i, ends[i + 1] + 2 * i + 2) for i in at]
-
-
 class _Dropped(str):
-    """A piece _frames refused, kept as its width: len() gives that, and it holds no bits.
+    """A piece _Scan._frames refused, kept as its width: len() gives that, and it holds no bits.
 
     Its word is longer than L, or worth 10^D or more (bits._digit_limit).
     Its text is "11", which no piece holds, so no lookup of a piece can
@@ -346,67 +342,6 @@ class _WordValues(dict):
             return list(map(add, values(terms, pieces), map(terms.__getitem__, map(len, pieces))))
 
 
-def _frames(payload: memoryview, avail: int, seq: GHSequence | FibSequence,
-            limits: tuple[float, float]) -> Iterator[tuple[int, list[str]]]:
-    """The complete pieces in the first avail bits of a payload, chunk by chunk.
-
-    A piece runs from the start of a word to the next 11 pair, the first
-    one str.find("11") would meet, so a run of three ones closes its
-    word at the first two. Per chunk that completes a piece, yields the
-    bit offset of its first piece and its pieces in order. The
-    unfinished last piece is carried into the next chunk as a list of
-    parts, joined once when the piece closes, so the time stays linear
-    in avail however long a piece runs. Last comes a chunk with no
-    pieces, at the offset where the last piece ends: an unterminated
-    tail starts there, and it is never yielded.
-
-    This is the one place a stream decoder refuses a word for the digit
-    limit, limits being (L, 10^D) (bits._digit_limit): a word longer
-    than L, or worth 10^D or more under seq. A chunk is _CHUNK_BYTES
-    bytes, or fewer, so that it holds at most near = L - _NEAR_BITS
-    bits. A piece that opens after a closing pair in a chunk, and closes
-    in it, then has a word of at most near - 1 bits (the chunk's bits,
-    a carried 1 in front, less the pair before it), which stays below
-    10^D. So only the first piece of a chunk, the one carried into it,
-    can be refused, and its width is known. Once its word is longer than
-    L, only its width and its last bit are kept, so the memory stays
-    bounded as well, and it closes as a _Dropped piece unevaluated. A
-    word of near + 1 to L bits is evaluated once when it closes, and is
-    a _Dropped piece if it is worth 10^D or more.
-    """
-    limit, bound = limits
-    near = limit - _NEAR_BITS
-    # _CHUNK_BYTES is read per call, so a test can put boundaries anywhere
-    size = min(_CHUNK_BYTES, near // 8)
-    nbytes = (avail + 7) // 8
-    held: list[str] = []  # parts of the unfinished piece, less a final 1, while it fits
-    width = 0  # the bits of that piece, held or not
-    lead = ""  # that final 1, which may open a pair with the next chunk
-    start = 0  # bit offset of the unfinished piece
-    for first in range(0, nbytes, size):
-        block = payload[first : min(first + size, nbytes)]
-        # the extra top bit keeps the leading zeros, so no zfill copy is made
-        bits = bin(int.from_bytes(block, "big") | 1 << 8 * len(block))[3:]
-        end = min(8 * (first + len(block)), avail)
-        parts = (lead + bits[: end - 8 * first]).split("11")
-        tail = parts.pop()
-        lead = tail[-1:] if tail.endswith("1") else ""
-        if parts:
-            width += len(parts[0])
-            held.append(parts[0])
-            parts[0] = "".join(held) if width + 2 <= limit else _Dropped(width)
-            if near < width + 2 <= limit and value(seq, parts[0] + "1") >= bound:
-                parts[0] = _Dropped(width)
-            yield start, parts
-            held, width = [], 0
-            start = end - len(tail)
-        held.append(tail[: len(tail) - len(lead)])
-        width += len(held[-1])
-        if width + 2 > limit:
-            held.clear()
-    yield start, []
-
-
 def stream_decode(data: bytes) -> Iterable[int]:
     """Check that the payload parses into exactly the declared count, or raise.
 
@@ -452,11 +387,14 @@ def stream_decode(data: bytes) -> Iterable[int]:
     return values
 
 
-class _Payload:
-    """The payload bits a header declares, as far as the payload holds them.
+class _Scan:
+    """The tokens of one parsed payload, scanned anew on each iteration.
 
-    The digit limit (bits._digit_limit) is read once, here, at the
-    decoder's call, and every pass over the payload keeps to it.
+    It holds the sequence the header names, the digit limit
+    (bits._digit_limit) read once, here, at the decoder's call, the
+    payload bits the header declares, as far as the payload holds them,
+    and the payload. Every pass over the payload frames it with
+    _frames() and keeps to that limit.
     """
 
     def __init__(self, seq: GHSequence | FibSequence, bit_length: int, payload: memoryview):
@@ -465,38 +403,88 @@ class _Payload:
         self._avail = min(bit_length, len(payload) * 8)
         self._payload = payload
 
+    def _frames(self) -> Iterator[tuple[int, list[str]]]:
+        """The complete pieces in the available bits of the payload, chunk by chunk.
+
+        A piece runs from the start of a word to the next 11 pair, the first
+        one str.find("11") would meet, so a run of three ones closes its
+        word at the first two. Per chunk that completes a piece, yields the
+        bit offset of its first piece and its pieces in order. The
+        unfinished last piece is carried into the next chunk as a list of
+        parts, joined once when the piece closes, so the time stays linear
+        in the available bits however long a piece runs. Last comes a
+        chunk with no pieces, at the offset where the last piece ends: an
+        unterminated tail starts there, and it is never yielded.
+
+        This is the one place a stream decoder refuses a word for the digit
+        limit, the reader's (L, 10^D) (bits._digit_limit): a word longer
+        than L, or worth 10^D or more under the header's sequence. A chunk
+        is _CHUNK_BYTES bytes, or fewer, so that it holds at most
+        near = L - _NEAR_BITS bits. A piece that opens after a closing
+        pair in a chunk, and closes in it, then has a word of at most
+        near - 1 bits (the chunk's bits, a carried 1 in front, less the
+        pair before it), which stays below 10^D. So only the first piece
+        of a chunk, the one carried into it, can be refused, and its width
+        is known. Once its word is longer than L, only its width and its
+        last bit are kept, so the memory stays bounded as well, and it
+        closes as a _Dropped piece unevaluated. A word of near + 1 to L
+        bits is evaluated once when it closes, and is a _Dropped piece if
+        it is worth 10^D or more.
+        """
+        limit, bound = self._limits
+        near = limit - _NEAR_BITS
+        # _CHUNK_BYTES is read per call, so a test can put boundaries anywhere
+        size = min(_CHUNK_BYTES, near // 8)
+        nbytes = (self._avail + 7) // 8
+        held: list[str] = []  # parts of the unfinished piece, less a final 1, while it fits
+        width = 0  # the bits of that piece, held or not
+        lead = ""  # that final 1, which may open a pair with the next chunk
+        start = 0  # bit offset of the unfinished piece
+        for first in range(0, nbytes, size):
+            block = self._payload[first : min(first + size, nbytes)]
+            # the extra top bit keeps the leading zeros, so no zfill copy is made
+            bits = bin(int.from_bytes(block, "big") | 1 << 8 * len(block))[3:]
+            end = min(8 * (first + len(block)), self._avail)
+            parts = (lead + bits[: end - 8 * first]).split("11")
+            tail = parts.pop()
+            lead = tail[-1:] if tail.endswith("1") else ""
+            if parts:
+                width += len(parts[0])
+                held.append(parts[0])
+                parts[0] = "".join(held) if width + 2 <= limit else _Dropped(width)
+                if near < width + 2 <= limit and value(self._seq, parts[0] + "1") >= bound:
+                    parts[0] = _Dropped(width)
+                yield start, parts
+                held, width = [], 0
+                start = end - len(tail)
+            held.append(tail[: len(tail) - len(lead)])
+            width += len(held[-1])
+            if width + 2 > limit:
+                held.clear()
+        yield start, []
+
     def _scan(self) -> Iterator[tuple[int, list[str], list[tuple[int, int, int]]]]:
-        """Per chunk _frames yields: its start, its pieces, and its garbage.
+        """Per chunk _frames() yields: its start, its pieces, and its garbage.
 
         garbage lists (index, lo, hi) per piece whose word is below 1 or
-        refused by _frames, with the bits of the word and its closing
+        refused by _frames(), with the bits of the word and its closing
         pair. Only the short pieces can be below 1, so they alone are
         evaluated, and only a chunk that holds one of them is searched
         and measured. Only the first piece can be refused, so that costs
         one look per chunk.
         """
         below = [p for p in _SHORT_PIECES if value(self._seq, p + "1") < 1]
-        for start, pieces in _frames(self._payload, self._avail, self._seq, self._limits):
+        for start, pieces in self._frames():
             low = {p for p in below if p in pieces}
-            at = compress(range(len(pieces)), map(low.__contains__, pieces))
-            garbage = _spans(start, pieces, at) if low else []
+            garbage = []
+            if low:
+                # ends[i] is where piece i starts, less the 2 * i bits of the pairs before it
+                ends = list(accumulate(map(len, pieces), initial=start))
+                at = compress(range(len(pieces)), map(low.__contains__, pieces))
+                garbage = [(i, ends[i] + 2 * i, ends[i + 1] + 2 * i + 2) for i in at]
             if pieces and isinstance(pieces[0], _Dropped):  # no short piece matches it
                 garbage.insert(0, (0, start, start + len(pieces[0]) + 2))
             yield start, pieces, garbage
-
-
-class _Values(_Payload):
-    """The values of one checked payload, decoded anew on each iteration."""
-
-    def __iter__(self) -> Iterator[int]:
-        pieces = map(itemgetter(1), _frames(self._payload, self._avail, self._seq, self._limits))
-        # chained in C: no Python frame resumes per chunk or per value. The
-        # check refused the file if _frames refused a word, so none is valued 0
-        return chain.from_iterable(map(_WordValues(self._seq).chunk, pieces))
-
-
-class _ResyncScan(_Payload):
-    """The tokens of one parsed payload, scanned anew on each iteration."""
 
     def _evaluated(self) -> Iterator[tuple[int, Iterable[int], list[int], list]]:
         """Per chunk: where its words start, their widths, their values and its garbage.
@@ -526,6 +514,20 @@ class _ResyncScan(_Payload):
                 yield ResyncToken("value", v, span) if v > 0 else ResyncToken("garbage", None, span)
 
 
+class _Values(_Scan):
+    """The values of one checked payload, decoded anew on each iteration.
+
+    Its iteration is strict decoding's value pass: _frames(), then
+    _WordValues.chunk per chunk.
+    """
+
+    def __iter__(self) -> Iterator[int]:
+        pieces = map(itemgetter(1), self._frames())
+        # chained in C: no Python frame resumes per chunk or per value. The
+        # check refused the file if _frames() refused a word, so none is valued 0
+        return chain.from_iterable(map(_WordValues(self._seq).chunk, pieces))
+
+
 def resync_decode(data: bytes) -> Iterable[ResyncToken]:
     """Tolerant scan: split at each closing pair, validate, never abort.
 
@@ -536,4 +538,4 @@ def resync_decode(data: bytes) -> Iterable[ResyncToken]:
     else, including an unterminated tail, comes back as garbage.
     """
     seq, _count, bit_length, payload = _parse_header(data)
-    return _ResyncScan(seq, bit_length, payload)
+    return _Scan(seq, bit_length, payload)

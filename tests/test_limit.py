@@ -224,7 +224,7 @@ def _word_of_width(codec, a, width, rng):
             return code
 
 
-# The framer (stream._frames) is the one door for the limit in the stream
+# The framer (stream._Scan._frames) is the one door for the limit in the stream
 # decoders. Its chunks hold at most near = L - 26 bits, so a word of more
 # than near - 1 bits is always the first piece of a chunk, carried into it
 
@@ -247,7 +247,7 @@ def test_only_a_chunks_first_piece_has_a_word_past_near_less_one(int_digits, dig
         pieces.append(piece[:-1] + "0" if piece.endswith("1") else piece)
     payload = "".join(piece + "11" for piece in pieces)
     blob = _document(0, 0, len(pieces), payload)
-    chunks = [found for _, found in stream._frames(memoryview(blob)[24:], len(payload), fib_sequence(), limits)]
+    chunks = [found for _, found in stream._Scan(fib_sequence(), len(payload), memoryview(blob)[24:])._frames()]
     assert [len(p) + 2 for found in chunks for p in found] == widths
     assert all(len(p) + 2 < bits for found in chunks for p in found[1:])
     assert any(len(found[0]) + 2 >= bits for found in chunks if found)

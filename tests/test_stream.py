@@ -793,7 +793,7 @@ _FRAGMENTS = ["0", "00", "1", "11", "111", "1111", "1011", "0" * 13, "01" * 9]
 
 @given(
     chunk=st.sampled_from([1, 2, 3]),
-    key=st.sampled_from([(0, 0), (1, -2), (1, -7)]),
+    key=st.sampled_from([(0, 0), (1, -2), (1, -7), (1, -(2**15))]),
     bits=st.lists(st.sampled_from(_FRAGMENTS), max_size=30).map("".join),
     count_shift=st.integers(-2, 2),
     padding=st.integers(0, 255),
@@ -844,7 +844,7 @@ def test_cli_resync_lines_equal_the_tokens_at_chunk_boundaries(monkeypatch, chun
 
 @given(
     chunk=st.sampled_from([1, 2, 3]),
-    key=st.sampled_from([(0, 0), (1, -2), (1, -7)]),
+    key=st.sampled_from([(0, 0), (1, -2), (1, -7), (1, -(2**15))]),
     bits=st.lists(st.sampled_from(_FRAGMENTS), max_size=30).map("".join),
     padding=st.integers(0, 255),
     cut=st.integers(0, 2),
